@@ -9,11 +9,11 @@
 //! answer "is the lazy path actually engaging?" for a *live* serving
 //! twin, where previously only the `day_replay` bench could tell.
 //!
-//! The counters are **not** simulation state: they are absent from the
-//! serialized `RapsState` (snapshot format untouched), `from_state`
-//! starts them fresh, and `fork` *shares* the parent's handles by
-//! refcount — a service attaches one set and every snapshot fork and
-//! what-if run feeds the same totals. Incrementing an atomic counter
+//! The counters are **not** simulation state: they live outside the
+//! simulation's `KernelState`, so they are never serialized (snapshot
+//! format untouched), `from_state` starts them fresh, and `fork`
+//! *shares* the parent's handles by refcount — a service attaches one
+//! set and every snapshot fork and what-if run feeds the same totals. Incrementing an atomic counter
 //! never feeds back into simulation arithmetic, so attached, detached,
 //! or contended metrics leave every simulated f64 bit-identical (the
 //! workspace `observability` tests pin this).

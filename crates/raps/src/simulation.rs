@@ -237,57 +237,21 @@ struct RunningJob {
     last_gpu: f64,
 }
 
-/// Serialized form of a [`RapsSimulation`]: every field that cannot be
-/// rebuilt from the configuration, plus the cooling model's state blob.
-/// The power model and its scratch accumulator are *not* captured — both
-/// are pure functions of `(cfg, delivery)` and the accumulator is reset
-/// at the start of every recompute — and neither is the drain scratch
-/// buffer. Field-for-field this mirrors [`RapsSimulation::fork`], which
-/// is the bit-identity contract serialization inherits.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct RapsState {
-    cfg: SystemConfig,
-    delivery: PowerDelivery,
-    policy: Policy,
-    pool: NodePool,
-    future: VecDeque<Job>,
-    pending: Vec<Job>,
-    running: Vec<RunningJob>,
-    clock: SimClock,
-    snapshot: PowerSnapshot,
-    power_dirty: bool,
-    sched_echo: bool,
-    cooling: Option<CoolingState>,
-    wet_bulb: TimeSeries,
-    outputs: SimOutputs,
-    record_every_s: u64,
-    events: EventQueue,
-    completed: u64,
-    active_nodes: u32,
-    variable_running: usize,
-    rack_allocated: Vec<u32>,
-    rack_capacity: Vec<u32>,
-    total_nodes: usize,
-}
-
-/// Serialized cooling coupling: the model's opaque state (each backend
-/// deserializes its own type) plus the CDU count needed to re-resolve
-/// variable references via [`CoolingCoupling::attach`].
-#[derive(serde::Serialize, serde::Deserialize)]
-struct CoolingState {
-    num_cdus: usize,
-    model: serde::Value,
-}
-
-/// The RAPS simulator.
-pub struct RapsSimulation {
+/// Every field of the simulation that is state, declared once. A fork
+/// is a clone of it and a save is its serialization, so the two cannot
+/// drift apart: a field added here is forked and persisted with no
+/// other edit. It also changes the snapshot shape, so it needs a
+/// `SNAPSHOT_FORMAT_VERSION` bump and a regenerated fixture
+/// (`DESIGN.md` § 6). [`RapsSimulation`] keeps outside it only what is
+/// derived or is not state.
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
+struct KernelState {
     /// Machine topology and component parameters. Immutable during a run
     /// (only `set_power_model` replaces it), so forks share it by
     /// refcount instead of re-cloning partition tables.
     cfg: Arc<SystemConfig>,
-    /// The power model — a pure function of `(cfg, delivery)`; shared
-    /// across forks for the same reason.
-    model: Arc<PowerModel>,
+    /// Power-delivery variant; with `cfg` it determines the power model.
+    delivery: PowerDelivery,
     policy: Policy,
     pool: NodePool,
     /// Jobs not yet submitted, ascending submit time.
@@ -296,7 +260,6 @@ pub struct RapsSimulation {
     pending: Vec<Job>,
     running: Vec<RunningJob>,
     clock: SimClock,
-    acc: PowerAccumulator,
     snapshot: PowerSnapshot,
     power_dirty: bool,
     /// The last scheduling pass started jobs while others stayed queued.
@@ -306,7 +269,6 @@ pub struct RapsSimulation {
     /// kernel reproduces that by treating the next second as an event and
     /// re-running the pass until it is quiescent.
     sched_echo: bool,
-    cooling: Option<CoolingCoupling>,
     /// Wet-bulb forcing for the cooling model, °C.
     wet_bulb: TimeSeries,
     outputs: SimOutputs,
@@ -315,15 +277,6 @@ pub struct RapsSimulation {
     /// quantum/record entries plus one-shot arrivals, completions, and
     /// wet-bulb breakpoints.
     events: EventQueue,
-    /// Scratch buffer reused when draining due events.
-    event_buf: Vec<Event>,
-    /// Kernel observability counters. Deliberately *not* part of
-    /// [`RapsState`]: counters are diagnostics, not simulation state, so
-    /// the snapshot format stays byte-stable and restored twins start
-    /// fresh. Forks share the parent's handles by refcount
-    /// ([`KernelMetrics`] is `Arc`'d atomics), so one attached set
-    /// observes the live twin and every what-if branched from it.
-    metrics: KernelMetrics,
     completed: u64,
     /// Total nodes currently allocated (cached sum of `rack_allocated`,
     /// kept in lockstep so `utilization` is O(1) on the hot path).
@@ -339,6 +292,39 @@ pub struct RapsSimulation {
     total_nodes: usize,
 }
 
+/// Serialized cooling coupling, saved under the `cooling` key next to
+/// the kernel state: the model's opaque state (each backend
+/// deserializes its own type) plus the CDU count needed to re-resolve
+/// variable references via [`CoolingCoupling::attach`].
+#[derive(serde::Serialize, serde::Deserialize)]
+struct CoolingState {
+    num_cdus: usize,
+    model: serde::Value,
+}
+
+/// The RAPS simulator: the kernel state plus the parts that are derived
+/// from it or are not state.
+pub struct RapsSimulation {
+    state: KernelState,
+    /// The power model — a pure function of `(cfg, delivery)`, rebuilt
+    /// on restore and shared across forks by refcount.
+    model: Arc<PowerModel>,
+    /// Recompute scratch, reset at the start of every recompute.
+    acc: PowerAccumulator,
+    /// Scratch buffer reused when draining due events.
+    event_buf: Vec<Event>,
+    /// The cooling model behind the FMI boundary. Not plain data: a fork
+    /// forks the model and a save asks it for its state blob.
+    cooling: Option<CoolingCoupling>,
+    /// Kernel observability counters. Deliberately *not* part of
+    /// [`KernelState`]: counters are diagnostics, not simulation state, so
+    /// the snapshot format stays byte-stable and restored twins start
+    /// fresh. Forks share the parent's handles by refcount
+    /// ([`KernelMetrics`] is `Arc`'d atomics), so one attached set
+    /// observes the live twin and every what-if branched from it.
+    metrics: KernelMetrics,
+}
+
 impl RapsSimulation {
     /// New simulation for `cfg` under `delivery`, recording outputs every
     /// `record_every_s` seconds (15 matches the paper's telemetry quantum;
@@ -350,9 +336,6 @@ impl RapsSimulation {
         record_every_s: u64,
     ) -> Self {
         let model = Arc::new(PowerModel::new(cfg.clone(), delivery));
-        let cfg = Arc::new(cfg);
-        let pool = NodePool::new(&cfg);
-        let acc = model.new_accumulator();
         let racks = model.racks();
         let total_nodes = cfg.total_nodes();
         // Rack capacities: full racks, remainder in the last.
@@ -360,9 +343,6 @@ impl RapsSimulation {
         let mut rack_capacity = vec![per_rack as u32; racks];
         let rem = total_nodes - per_rack * (racks - 1);
         rack_capacity[racks - 1] = rem as u32;
-        // Default weather: constant 15 °C wet-bulb.
-        let wet_bulb = TimeSeries::from_values(0.0, 3600.0, vec![15.0, 15.0]);
-        let snapshot = model.uniform_power(0.0, 0.0);
         let mut events = EventQueue::new();
         events.schedule_every(COOLING_PERIOD_S, EventKind::CoolingQuantum);
         // Record boundaries on the quantum grid are already covered by the
@@ -374,54 +354,66 @@ impl RapsSimulation {
         if !record_every_s.is_multiple_of(COOLING_PERIOD_S) {
             events.schedule_every(record_every_s, EventKind::RecordBoundary);
         }
-        RapsSimulation {
-            cfg,
-            model,
+        let state = KernelState {
+            pool: NodePool::new(&cfg),
+            cfg: Arc::new(cfg),
+            delivery,
             policy,
-            pool,
             future: VecDeque::new(),
             pending: Vec::new(),
             running: Vec::new(),
             clock: SimClock::midnight(),
-            acc,
-            snapshot,
+            snapshot: model.uniform_power(0.0, 0.0),
             power_dirty: true,
             sched_echo: false,
-            cooling: None,
-            wet_bulb,
+            // Default weather: constant 15 °C wet-bulb.
+            wet_bulb: TimeSeries::from_values(0.0, 3600.0, vec![15.0, 15.0]),
             outputs: SimOutputs::new(record_every_s),
             record_every_s,
             events,
-            event_buf: Vec::new(),
-            metrics: KernelMetrics::new(),
             completed: 0,
             active_nodes: 0,
             variable_running: 0,
             rack_allocated: vec![0; racks],
             rack_capacity,
             total_nodes,
-        }
+        };
+        Self::assemble(state, model, None, KernelMetrics::new())
+    }
+
+    /// Wrap `state` with its power model, fresh scratch, cooling, and
+    /// counters: the one constructor `new`, `fork` and `from_state`
+    /// share.
+    fn assemble(
+        state: KernelState,
+        model: Arc<PowerModel>,
+        cooling: Option<CoolingCoupling>,
+        metrics: KernelMetrics,
+    ) -> Self {
+        let acc = model.new_accumulator();
+        RapsSimulation { state, model, acc, event_buf: Vec::new(), cooling, metrics }
     }
 
     /// Attach a cooling model (FMU import). Call before running; also
     /// used by forked what-ifs to swap fidelity mid-run (the replacement
     /// model starts from its own `setup` state, not the old model's).
     pub fn attach_cooling(&mut self, mut coupling: CoolingCoupling) {
-        coupling.model.setup(self.clock.now_f64());
+        coupling.model.setup(self.state.clock.now_f64());
         // Keep the PUE series' time axis (sample i at t0 + i·15 s, its
         // physical time) truthful across mid-run attaches: a first
         // attach re-anchors t0 to the next quantum; a re-attach after a
         // detach gap fills the missed quanta with NaN ("no measurement")
         // so appended samples land at their physical times.
-        let now = self.clock.elapsed();
+        let now = self.state.clock.elapsed();
         if now > 0 {
             let next_quantum = ((now / COOLING_PERIOD_S + 1) * COOLING_PERIOD_S) as f64;
-            if self.outputs.pue.is_empty() {
-                self.outputs.pue.t0 = next_quantum;
+            let pue = &mut self.state.outputs.pue;
+            if pue.is_empty() {
+                pue.t0 = next_quantum;
             } else {
                 let dt = COOLING_PERIOD_S as f64;
-                while self.outputs.pue.t0 + self.outputs.pue.len() as f64 * dt < next_quantum {
-                    self.outputs.pue.push(f64::NAN);
+                while pue.t0 + pue.len() as f64 * dt < next_quantum {
+                    pue.push(f64::NAN);
                 }
             }
         }
@@ -438,13 +430,13 @@ impl RapsSimulation {
 
     /// Provide the wet-bulb temperature forcing (°C over simulated time).
     pub fn set_wet_bulb(&mut self, series: TimeSeries) {
-        self.wet_bulb = series;
+        self.state.wet_bulb = series;
         self.schedule_wet_bulb_events();
     }
 
     /// The current wet-bulb forcing (weather what-ifs perturb this).
     pub fn wet_bulb(&self) -> &TimeSeries {
-        &self.wet_bulb
+        &self.state.wet_bulb
     }
 
     /// Register the forcing's piecewise-linear breakpoints as events so
@@ -456,8 +448,8 @@ impl RapsSimulation {
         if self.cooling.is_none() {
             return;
         }
-        for t in series_breakpoints(&self.wet_bulb) {
-            self.events.schedule_at(t, EventKind::WetBulbBreakpoint);
+        for t in series_breakpoints(&self.state.wet_bulb) {
+            self.state.events.schedule_at(t, EventKind::WetBulbBreakpoint);
         }
     }
 
@@ -471,18 +463,18 @@ impl RapsSimulation {
         let mut last_submit = None;
         for j in &jobs {
             if last_submit != Some(j.submit_time_s) {
-                self.events.schedule_at(j.submit_time_s, EventKind::JobArrival);
+                self.state.events.schedule_at(j.submit_time_s, EventKind::JobArrival);
                 last_submit = Some(j.submit_time_s);
             }
         }
         // Merge the sorted batch into the (sorted) future queue in one
         // pass; on equal submit times, previously queued jobs stay first
         // (the stable-sort order the per-second loop always produced).
-        if self.future.is_empty() {
-            self.future = jobs.into();
+        if self.state.future.is_empty() {
+            self.state.future = jobs.into();
             return;
         }
-        let old = std::mem::take(&mut self.future);
+        let old = std::mem::take(&mut self.state.future);
         let mut merged = VecDeque::with_capacity(old.len() + jobs.len());
         let mut incoming = jobs.into_iter().peekable();
         for queued in old {
@@ -495,37 +487,37 @@ impl RapsSimulation {
             merged.push_back(queued);
         }
         merged.extend(incoming);
-        self.future = merged;
+        self.state.future = merged;
     }
 
     /// The current power snapshot.
     pub fn snapshot(&self) -> &PowerSnapshot {
-        &self.snapshot
+        &self.state.snapshot
     }
 
     /// Current simulated time, seconds.
     pub fn now(&self) -> u64 {
-        self.clock.elapsed()
+        self.state.clock.elapsed()
     }
 
     /// Jobs currently running.
     pub fn running_count(&self) -> usize {
-        self.running.len()
+        self.state.running.len()
     }
 
     /// Jobs waiting in the queue.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.state.pending.len()
     }
 
     /// Node-allocation utilization in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
-        self.active_nodes as f64 / self.total_nodes as f64
+        self.state.active_nodes as f64 / self.state.total_nodes as f64
     }
 
     /// Recorded outputs so far.
     pub fn outputs(&self) -> &SimOutputs {
-        &self.outputs
+        &self.state.outputs
     }
 
     /// Access the cooling model for output inspection.
@@ -537,7 +529,7 @@ impl RapsSimulation {
     /// executable specification the event-driven kernel is pinned
     /// against. Interactive single-stepping also comes through here.
     pub fn tick(&mut self) -> Result<(), FmiError> {
-        let now = self.clock.tick();
+        let now = self.state.clock.tick();
         self.step_second(now, false, true)
     }
 
@@ -564,11 +556,11 @@ impl RapsSimulation {
     ) -> Result<(), FmiError> {
         // Newly arriving jobs join the pending queue.
         let mut arrived = false;
-        while let Some(front) = self.future.front() {
+        while let Some(front) = self.state.future.front() {
             if front.submit_time_s <= now {
-                let mut job = self.future.pop_front().expect("peeked");
+                let mut job = self.state.future.pop_front().expect("peeked");
                 job.state = JobState::Pending;
-                self.pending.push(job);
+                self.state.pending.push(job);
                 arrived = true;
             } else {
                 break;
@@ -582,21 +574,21 @@ impl RapsSimulation {
         let mut completed_any = false;
         if completion_due {
             let mut i = 0;
-            while i < self.running.len() {
-                if self.running[i].job.is_due(now) {
-                    let mut rj = self.running.swap_remove(i);
+            while i < self.state.running.len() {
+                if self.state.running[i].job.is_due(now) {
+                    let mut rj = self.state.running.swap_remove(i);
                     rj.job.state = JobState::Completed;
                     rj.job.end_time_s = Some(now);
-                    self.pool.release(rj.job.partition, &rj.nodes);
+                    self.state.pool.release(rj.job.partition, &rj.nodes);
                     for &(rack, count) in &rj.rack_counts {
-                        self.rack_allocated[rack as usize] -= count;
+                        self.state.rack_allocated[rack as usize] -= count;
                     }
-                    self.active_nodes -= rj.nodes.len() as u32;
+                    self.state.active_nodes -= rj.nodes.len() as u32;
                     if has_variable_trace(&rj.job) {
-                        self.variable_running -= 1;
+                        self.state.variable_running -= 1;
                     }
-                    self.completed += 1;
-                    self.power_dirty = true;
+                    self.state.completed += 1;
+                    self.state.power_dirty = true;
                     completed_any = true;
                 } else {
                     i += 1;
@@ -608,13 +600,14 @@ impl RapsSimulation {
         // the expected-release list, so it is built for that policy alone.
         // In event mode the pass runs only on seconds where its inputs
         // could have changed; elsewhere it provably returns no decisions.
-        let run_pass = !event_mode || arrived || completed_any || self.sched_echo;
+        let run_pass = !event_mode || arrived || completed_any || self.state.sched_echo;
         if run_pass {
-            self.sched_echo = false;
+            self.state.sched_echo = false;
         }
-        if run_pass && !self.pending.is_empty() {
-            let releases: Vec<RunningRelease> = if self.policy == Policy::EasyBackfill {
-                self.running
+        if run_pass && !self.state.pending.is_empty() {
+            let releases: Vec<RunningRelease> = if self.state.policy == Policy::EasyBackfill {
+                self.state
+                    .running
                     .iter()
                     .map(|rj| RunningRelease {
                         end_time_s: rj.job.start_time_s.unwrap_or(now) + rj.job.wall_time_s,
@@ -625,37 +618,42 @@ impl RapsSimulation {
             } else {
                 Vec::new()
             };
-            let decisions =
-                schedule_jobs(self.policy, &self.pending, &mut self.pool, now, &releases);
+            let decisions = schedule_jobs(
+                self.state.policy,
+                &self.state.pending,
+                &mut self.state.pool,
+                now,
+                &releases,
+            );
             if !decisions.is_empty() {
-                self.power_dirty = true;
+                self.state.power_dirty = true;
                 // Remove started jobs from pending in descending index order.
                 let mut started: Vec<(usize, Vec<u32>)> =
                     decisions.into_iter().map(|d| (d.job_index, d.nodes)).collect();
                 started.sort_by_key(|s| std::cmp::Reverse(s.0));
                 for (idx, nodes) in started {
-                    let mut job = self.pending.swap_remove(idx);
+                    let mut job = self.state.pending.swap_remove(idx);
                     job.state = JobState::Running;
                     job.start_time_s = Some(now);
                     // Completions are release checks at a *later* tick, so
                     // a zero-wall job still ends one second after it starts.
-                    self.events.schedule_at(
+                    self.state.events.schedule_at(
                         now + job.wall_time_s.max(1),
                         EventKind::JobCompletion,
                     );
-                    self.outputs
+                    self.state.outputs
                         .wait_stats
                         .push(now.saturating_sub(job.submit_time_s) as f64);
                     let rack_counts = self.rack_counts_of(&nodes);
                     for &(rack, count) in &rack_counts {
-                        self.rack_allocated[rack as usize] += count;
+                        self.state.rack_allocated[rack as usize] += count;
                     }
-                    let gpus = self.cfg.partitions[job.partition].gpus_per_node;
-                    self.active_nodes += nodes.len() as u32;
+                    let gpus = self.state.cfg.partitions[job.partition].gpus_per_node;
+                    self.state.active_nodes += nodes.len() as u32;
                     if has_variable_trace(&job) {
-                        self.variable_running += 1;
+                        self.state.variable_running += 1;
                     }
-                    self.running.push(RunningJob {
+                    self.state.running.push(RunningJob {
                         job,
                         nodes,
                         rack_counts,
@@ -667,22 +665,22 @@ impl RapsSimulation {
                 // Starts reordered the queue: re-pass next second until
                 // quiescent (a pass with no decisions is stable between
                 // events — see the module docs).
-                self.sched_echo = !self.pending.is_empty();
+                self.state.sched_echo = !self.state.pending.is_empty();
             }
         }
 
         // Recalculate power on events or at the trace quantum.
         let quantum_boundary = now.is_multiple_of(COOLING_PERIOD_S);
-        if self.power_dirty || quantum_boundary {
-            let skip = event_mode && !self.power_dirty && self.util_samples_unchanged(now);
+        if self.state.power_dirty || quantum_boundary {
+            let skip = event_mode && !self.state.power_dirty && self.util_samples_unchanged(now);
             if !skip {
                 self.recompute_power(now);
             }
-            self.power_dirty = false;
+            self.state.power_dirty = false;
         }
 
         // Energy integrates every second from the held snapshot.
-        self.outputs.energy_j += self.snapshot.system_w;
+        self.state.outputs.energy_j += self.state.snapshot.system_w;
 
         // Cooling model every 15 s (the FMU call of Algorithm 1).
         if quantum_boundary {
@@ -697,17 +695,17 @@ impl RapsSimulation {
     /// The output tail of one simulated second: record the series at
     /// `record_every_s` boundaries and push the per-second statistics.
     fn record_second(&mut self, now: u64) {
-        if now.is_multiple_of(self.record_every_s) {
+        if now.is_multiple_of(self.state.record_every_s) {
             let util = self.utilization();
-            self.outputs.system_power_w.push(self.snapshot.system_w);
-            self.outputs.loss_w.push(self.snapshot.loss_w);
-            self.outputs.utilization.push(util);
-            self.outputs.efficiency.push(self.snapshot.efficiency);
+            self.state.outputs.system_power_w.push(self.state.snapshot.system_w);
+            self.state.outputs.loss_w.push(self.state.snapshot.loss_w);
+            self.state.outputs.utilization.push(util);
+            self.state.outputs.efficiency.push(self.state.snapshot.efficiency);
         }
-        self.outputs.power_stats.push(self.snapshot.system_w);
-        self.outputs.loss_stats.push(self.snapshot.loss_w);
-        self.outputs.eff_stats.push(self.snapshot.efficiency);
-        self.outputs.util_stats.push(self.utilization());
+        self.state.outputs.power_stats.push(self.state.snapshot.system_w);
+        self.state.outputs.loss_stats.push(self.state.snapshot.loss_w);
+        self.state.outputs.eff_stats.push(self.state.snapshot.efficiency);
+        self.state.outputs.util_stats.push(self.utilization());
     }
 
     /// Run until `horizon_s` of simulated time by jumping the clock from
@@ -725,100 +723,57 @@ impl RapsSimulation {
     /// rounding) — the golden `event_kernel` test and the cross-mode
     /// property tests pin this.
     pub fn run_until(&mut self, horizon_s: u64) -> Result<(), FmiError> {
-        while self.clock.elapsed() < horizon_s {
-            let now = self.clock.elapsed();
-
-            // Lazy path: with no recompute owed, no scheduling echo, no
-            // cooling model, and no time-varying utilization trace, every
-            // second up to the next *one-shot* event (arrival/completion)
-            // is provably silent — quantum and record recurrences would
-            // only re-observe the held snapshot. Jump straight there,
-            // backfilling the skipped record samples in closed form.
-            // A *quasi-static* cooling model (L3 serving with held
-            // inputs) takes the same jump with its quanta batched —
-            // `batch_cooled_gap` below.
-            if !self.power_dirty
-                && !self.sched_echo
-                && self.cooling.is_none()
-                && self.variable_running == 0
-            {
-                // A one-shot scheduled in the past still fires on the
-                // next second, exactly as `next_after` would clamp it.
-                let target =
-                    self.events.next_one_shot().map_or(u64::MAX, |t| t.max(now + 1));
-                if target > horizon_s {
-                    // No event inside the horizon: one closed-form jump,
-                    // recording through the horizon itself.
-                    self.account_steady(horizon_s - now);
-                    self.backfill_records(now, horizon_s);
-                    self.events.skip_recurring_through(horizon_s);
-                    self.clock.advance(horizon_s - now);
-                    break;
+        while self.state.clock.elapsed() < horizon_s {
+            let now = self.state.clock.elapsed();
+            let lazy = self.lazy_target(now, horizon_s)?;
+            let next = match lazy {
+                Some(target) => target,
+                // Eager path (recompute owed, scheduling echo, a cooling
+                // model stepped quantum by quantum, or a variable
+                // utilization trace running): advance event-to-event,
+                // where recurrences *are* events because the quantum may
+                // genuinely change state.
+                None => {
+                    let next = self.state.events.next_after(now).unwrap_or(u64::MAX);
+                    // A recompute owed (fresh simulation or external state
+                    // change), or a scheduling pass that started jobs and
+                    // must re-run: the per-second loop would fold either
+                    // into the very next tick, so that second is an event.
+                    if self.state.power_dirty || self.state.sched_echo {
+                        next.min(now + 1)
+                    } else {
+                        next
+                    }
                 }
-                // Seconds strictly before `target` hold the snapshot (so
+            };
+            if next > horizon_s {
+                // No event inside the horizon: one closed-form jump,
+                // recording through the horizon itself.
+                self.account_steady(horizon_s - now);
+                self.backfill_records(now, horizon_s);
+                self.state.events.skip_recurring_through(horizon_s);
+                self.state.clock.advance(horizon_s - now);
+                break;
+            }
+            if lazy.is_some() {
+                // Seconds strictly before the event hold the snapshot (so
                 // their record samples backfill); the event second itself
                 // is accounted and recorded by `step_second`. Recurrences
                 // are skipped *before* the drain so it stays O(due
                 // one-shots) instead of replaying every skipped fire.
-                self.account_steady(target - now - 1);
-                self.backfill_records(now, target - 1);
-                self.clock.advance(target - now);
-                self.events.skip_recurring_through(target);
-                self.events.drain_due(target, &mut self.event_buf);
-                let completion_due = self
-                    .event_buf
-                    .iter()
-                    .any(|e| e.kind == EventKind::JobCompletion);
-                self.metrics.note_events(&self.event_buf);
-                self.event_buf.clear();
-                self.step_second(target, true, completion_due)?;
-                continue;
+                self.account_steady(next - now - 1);
+                self.backfill_records(now, next - 1);
+                self.state.events.skip_recurring_through(next);
+                self.state.clock.advance(next - now);
+            } else {
+                // Seconds strictly between `now` and the event hold the
+                // current snapshot; recurrences due at the event drain
+                // with it, because on this path they are real events.
+                self.account_steady(next - now - 1);
+                self.state.clock.advance(next - now);
             }
-
-            // Cooled lazy path: same steadiness preconditions, cooling
-            // attached. If the model reports itself quasi-static for the
-            // gap's (constant) inputs, its quanta collapse into one
-            // `repeat_step` and the jump proceeds exactly as above.
-            if !self.power_dirty
-                && !self.sched_echo
-                && self.cooling.is_some()
-                && self.variable_running == 0
-                && self.batch_cooled_gap(now, horizon_s)?
-            {
-                continue;
-            }
-
-            // Eager path (recompute owed, scheduling echo, cooling model
-            // attached, or a variable utilization trace running): advance
-            // event-to-event, where recurrences *are* events because the
-            // quantum may genuinely change state.
-            let mut next = self.events.next_after(now).unwrap_or(u64::MAX);
-            if self.power_dirty || self.sched_echo {
-                // A recompute is owed (fresh simulation or external state
-                // change), or the last scheduling pass started jobs and
-                // must re-run: the per-second loop would fold either into
-                // the very next tick, so that second becomes an event.
-                next = next.min(now + 1);
-            }
-            if next > horizon_s {
-                // No event inside the horizon: one closed-form jump.
-                self.account_steady(horizon_s - now);
-                self.backfill_records(now, horizon_s);
-                self.events.skip_recurring_through(horizon_s);
-                self.clock.advance(horizon_s - now);
-                break;
-            }
-            // Seconds strictly between `now` and the event hold the
-            // current snapshot; the event second itself is accounted by
-            // `step_second` after handlers run.
-            self.account_steady(next - now - 1);
-            self.clock.advance(next - now);
-
-            self.events.drain_due(next, &mut self.event_buf);
-            let completion_due = self
-                .event_buf
-                .iter()
-                .any(|e| e.kind == EventKind::JobCompletion);
+            self.state.events.drain_due(next, &mut self.event_buf);
+            let completion_due = self.event_buf.iter().any(|e| e.kind == EventKind::JobCompletion);
             self.metrics.note_events(&self.event_buf);
             self.event_buf.clear();
             self.step_second(next, true, completion_due)?;
@@ -832,14 +787,37 @@ impl RapsSimulation {
     /// as the executable specification the event kernel is verified
     /// against (and for apples-to-apples benchmarking in `day_replay`).
     pub fn run_until_per_second(&mut self, horizon_s: u64) -> Result<(), FmiError> {
-        while self.clock.elapsed() < horizon_s {
+        while self.state.clock.elapsed() < horizon_s {
             self.tick()?;
         }
         Ok(())
     }
 
-    /// Try to jump a steady gap with the cooling model attached, batching
-    /// the cooling quanta it spans through [`CoSimModel::repeat_step`].
+    /// The event second `run_until` may jump straight to from `now`, or
+    /// `None` for the eager path.
+    ///
+    /// With no recompute owed, no scheduling echo, and no time-varying
+    /// utilization trace, every second up to the next *one-shot* event
+    /// (arrival/completion) is provably silent — quantum and record
+    /// recurrences would only re-observe the held snapshot. Without
+    /// cooling that is the whole condition; with a cooling model
+    /// attached the gap's quanta must also collapse into one
+    /// `repeat_step` (`batch_cooled_gap`, which performs it).
+    fn lazy_target(&mut self, now: u64, horizon_s: u64) -> Result<Option<u64>, FmiError> {
+        let s = &self.state;
+        if s.power_dirty || s.sched_echo || s.variable_running != 0 {
+            return Ok(None);
+        }
+        // A one-shot scheduled in the past still fires on the next
+        // second, exactly as `next_after` would clamp it.
+        let target = s.events.next_one_shot().map_or(u64::MAX, |t| t.max(now + 1));
+        let batched = self.cooling.is_none() || self.batch_cooled_gap(now, target, horizon_s)?;
+        Ok(batched.then_some(target))
+    }
+
+    /// Try to batch the cooling quanta a steady gap from `now` to the
+    /// one-shot `target` spans through [`CoSimModel::repeat_step`], so
+    /// the gap can be jumped like a no-cooling one.
     ///
     /// Sound only when every swallowed quantum would have sent bit-equal
     /// inputs and read bit-equal outputs: the power snapshot is already
@@ -853,12 +831,16 @@ impl RapsSimulation {
     /// untouched; the online L3/L4 backend reports it exactly while a
     /// trusted fit serves, which is what takes a *trained* cooled replay
     /// to O(events) — the same complexity the no-cooling path has.
-    fn batch_cooled_gap(&mut self, now: u64, horizon_s: u64) -> Result<bool, FmiError> {
-        let target = self.events.next_one_shot().map_or(u64::MAX, |t| t.max(now + 1));
+    fn batch_cooled_gap(
+        &mut self,
+        now: u64,
+        target: u64,
+        horizon_s: u64,
+    ) -> Result<bool, FmiError> {
         // Quanta the jump swallows: in `(now, target)` when an event
         // lands inside the horizon (the event second itself goes through
         // `step_second`), else through the horizon second inclusive (the
-        // per-second loop steps it; the break path must account it).
+        // per-second loop steps it; the coast must account it).
         let last_swallowed = if target > horizon_s { horizon_s } else { target - 1 };
         let k = last_swallowed / COOLING_PERIOD_S - now / COOLING_PERIOD_S;
         if k == 0 {
@@ -866,8 +848,8 @@ impl RapsSimulation {
         }
         let first_q = (now / COOLING_PERIOD_S + 1) * COOLING_PERIOD_S;
         let last_q = (last_swallowed / COOLING_PERIOD_S) * COOLING_PERIOD_S;
-        let wb = self.wet_bulb.sample_at(first_q as f64);
-        if wb.to_bits() != self.wet_bulb.sample_at(last_q as f64).to_bits() {
+        let wb = self.state.wet_bulb.sample_at(first_q as f64);
+        if wb.to_bits() != self.state.wet_bulb.sample_at(last_q as f64).to_bits() {
             return Ok(false);
         }
         self.forward_cooling_inputs(wb)?;
@@ -879,28 +861,9 @@ impl RapsSimulation {
         self.metrics.cooled_quanta_batched.add(k);
         if let Some(vr) = cooling.pue_output {
             let pue = cooling.model.get_real(vr)?;
-            self.outputs.pue.push_n(pue, k as usize);
-            self.outputs.pue_stats.push_n(pue, k);
+            self.state.outputs.pue.push_n(pue, k as usize);
+            self.state.outputs.pue_stats.push_n(pue, k);
             self.metrics.samples_backfilled.add(k);
-        }
-        // The jump itself — identical arithmetic to the no-cooling lazy
-        // path above.
-        if target > horizon_s {
-            self.account_steady(horizon_s - now);
-            self.backfill_records(now, horizon_s);
-            self.events.skip_recurring_through(horizon_s);
-            self.clock.advance(horizon_s - now);
-        } else {
-            self.account_steady(target - now - 1);
-            self.backfill_records(now, target - 1);
-            self.clock.advance(target - now);
-            self.events.skip_recurring_through(target);
-            self.events.drain_due(target, &mut self.event_buf);
-            let completion_due =
-                self.event_buf.iter().any(|e| e.kind == EventKind::JobCompletion);
-            self.metrics.note_events(&self.event_buf);
-            self.event_buf.clear();
-            self.step_second(target, true, completion_due)?;
         }
         Ok(true)
     }
@@ -917,15 +880,16 @@ impl RapsSimulation {
     /// snapshot is provably constant over the gap — the same lemma that
     /// lets the quantum recompute be skipped).
     fn backfill_records(&mut self, after_s: u64, through_s: u64) {
-        let k = (through_s / self.record_every_s - after_s / self.record_every_s) as usize;
+        let every = self.state.record_every_s;
+        let k = (through_s / every - after_s / every) as usize;
         if k == 0 {
             return;
         }
         let util = self.utilization();
-        self.outputs.system_power_w.push_n(self.snapshot.system_w, k);
-        self.outputs.loss_w.push_n(self.snapshot.loss_w, k);
-        self.outputs.utilization.push_n(util, k);
-        self.outputs.efficiency.push_n(self.snapshot.efficiency, k);
+        self.state.outputs.system_power_w.push_n(self.state.snapshot.system_w, k);
+        self.state.outputs.loss_w.push_n(self.state.snapshot.loss_w, k);
+        self.state.outputs.utilization.push_n(util, k);
+        self.state.outputs.efficiency.push_n(self.state.snapshot.efficiency, k);
         // 4 channels materialised k samples each without visiting a
         // boundary (the pue channel counts at its own push_n site).
         self.metrics.samples_backfilled.add(4 * k as u64);
@@ -939,12 +903,12 @@ impl RapsSimulation {
             return;
         }
         self.metrics.gaps_batched.inc();
-        self.outputs.energy_j += seconds as f64 * self.snapshot.system_w;
+        self.state.outputs.energy_j += seconds as f64 * self.state.snapshot.system_w;
         let util = self.utilization();
-        self.outputs.power_stats.push_n(self.snapshot.system_w, seconds);
-        self.outputs.loss_stats.push_n(self.snapshot.loss_w, seconds);
-        self.outputs.eff_stats.push_n(self.snapshot.efficiency, seconds);
-        self.outputs.util_stats.push_n(util, seconds);
+        self.state.outputs.power_stats.push_n(self.state.snapshot.system_w, seconds);
+        self.state.outputs.loss_stats.push_n(self.state.snapshot.loss_w, seconds);
+        self.state.outputs.eff_stats.push_n(self.state.snapshot.efficiency, seconds);
+        self.state.outputs.util_stats.push_n(util, seconds);
     }
 
     /// True when every running job's utilization trace samples to exactly
@@ -953,13 +917,13 @@ impl RapsSimulation {
     /// function of the samples and the unchanged allocation state) and
     /// can be skipped.
     fn util_samples_unchanged(&self, now: u64) -> bool {
-        if self.variable_running == 0 {
+        if self.state.variable_running == 0 {
             // Constant traces sample to the same value at any elapsed
             // time; the last recompute (forced by the start that made the
             // job running) already holds exactly those samples.
             return true;
         }
-        self.running.iter().all(|rj| {
+        self.state.running.iter().all(|rj| {
             let elapsed = rj.job.elapsed_at(now);
             rj.job.cpu_util.at(elapsed) == rj.last_cpu
                 && rj.job.gpu_util.at(elapsed) == rj.last_gpu
@@ -997,33 +961,8 @@ impl RapsSimulation {
                 format!("cooling model '{}' does not support forking", c.model.instance_name())
             })?),
         };
-        Ok(RapsSimulation {
-            cfg: self.cfg.clone(),
-            model: self.model.clone(),
-            policy: self.policy,
-            pool: self.pool.clone(),
-            future: self.future.clone(),
-            pending: self.pending.clone(),
-            running: self.running.clone(),
-            clock: self.clock,
-            acc: self.acc.clone(),
-            snapshot: self.snapshot.clone(),
-            power_dirty: self.power_dirty,
-            sched_echo: self.sched_echo,
-            cooling,
-            wet_bulb: self.wet_bulb.clone(),
-            outputs: self.outputs.clone(),
-            record_every_s: self.record_every_s,
-            events: self.events.clone(),
-            event_buf: Vec::new(),
-            metrics: self.metrics.clone(),
-            completed: self.completed,
-            active_nodes: self.active_nodes,
-            variable_running: self.variable_running,
-            rack_allocated: self.rack_allocated.clone(),
-            rack_capacity: self.rack_capacity.clone(),
-            total_nodes: self.total_nodes,
-        })
+        let state = self.state.clone();
+        Ok(Self::assemble(state, Arc::clone(&self.model), cooling, self.metrics.clone()))
     }
 
     /// Capture the complete simulation state as a serializable value —
@@ -1031,11 +970,11 @@ impl RapsSimulation {
     ///
     /// The value carries the clock, queues, running allocations, event
     /// calendar, accumulated outputs, RNG-bearing series, and (when
-    /// attached) the cooling model's state blob, so a simulation restored
-    /// by [`RapsSimulation::from_state`] and advanced is bit-identical to
-    /// the original advanced the same way (the `snapshot_roundtrip`
-    /// battery). Fails only when the cooling model does not implement
-    /// [`CoSimModel::save_state`].
+    /// attached) the cooling model's state blob under the `cooling` key,
+    /// so a simulation restored by [`RapsSimulation::from_state`] and
+    /// advanced is bit-identical to the original advanced the same way
+    /// (the `snapshot_roundtrip` battery). Fails only when the cooling
+    /// model does not implement [`CoSimModel::save_state`].
     pub fn save_state(&self) -> Result<serde::Value, String> {
         let cooling = match &self.cooling {
             None => None,
@@ -1049,31 +988,11 @@ impl RapsSimulation {
                 Some(CoolingState { num_cdus: c.cdu_inputs.len(), model })
             }
         };
-        let state = RapsState {
-            cfg: (*self.cfg).clone(),
-            delivery: self.model.conversion().delivery(),
-            policy: self.policy,
-            pool: self.pool.clone(),
-            future: self.future.clone(),
-            pending: self.pending.clone(),
-            running: self.running.clone(),
-            clock: self.clock,
-            snapshot: self.snapshot.clone(),
-            power_dirty: self.power_dirty,
-            sched_echo: self.sched_echo,
-            cooling,
-            wet_bulb: self.wet_bulb.clone(),
-            outputs: self.outputs.clone(),
-            record_every_s: self.record_every_s,
-            events: self.events.clone(),
-            completed: self.completed,
-            active_nodes: self.active_nodes,
-            variable_running: self.variable_running,
-            rack_allocated: self.rack_allocated.clone(),
-            rack_capacity: self.rack_capacity.clone(),
-            total_nodes: self.total_nodes,
-        };
-        Ok(serde::Serialize::to_value(&state))
+        let mut value = serde::Serialize::to_value(&self.state);
+        if let serde::Value::Object(fields) = &mut value {
+            fields.push(("cooling".into(), serde::Serialize::to_value(&cooling)));
+        }
+        Ok(value)
     }
 
     /// Rebuild a simulation from a [`RapsSimulation::save_state`] value.
@@ -1090,46 +1009,17 @@ impl RapsSimulation {
         value: &serde::Value,
         rebuild_cooling: impl FnOnce(&serde::Value) -> Result<Box<dyn CoSimModel>, String>,
     ) -> Result<RapsSimulation, String> {
-        let state =
-            <RapsState as serde::Deserialize>::from_value(value).map_err(|e| {
-                format!("invalid simulation state: {e}")
-            })?;
-        let model = Arc::new(PowerModel::new(state.cfg.clone(), state.delivery));
-        let acc = model.new_accumulator();
-        let cooling = match state.cooling {
+        let invalid = |e: serde::Error| format!("invalid simulation state: {e}");
+        let state = <KernelState as serde::Deserialize>::from_value(value).map_err(invalid)?;
+        let cooling = value.get("cooling").unwrap_or(&serde::Value::Null);
+        let cooling = match <Option<CoolingState> as serde::Deserialize>::from_value(cooling)
+            .map_err(invalid)?
+        {
             None => None,
-            Some(cs) => {
-                let boxed = rebuild_cooling(&cs.model)?;
-                Some(CoolingCoupling::attach(boxed, cs.num_cdus)?)
-            }
+            Some(cs) => Some(CoolingCoupling::attach(rebuild_cooling(&cs.model)?, cs.num_cdus)?),
         };
-        Ok(RapsSimulation {
-            cfg: Arc::new(state.cfg),
-            model,
-            policy: state.policy,
-            pool: state.pool,
-            future: state.future,
-            pending: state.pending,
-            running: state.running,
-            clock: state.clock,
-            acc,
-            snapshot: state.snapshot,
-            power_dirty: state.power_dirty,
-            sched_echo: state.sched_echo,
-            cooling,
-            wet_bulb: state.wet_bulb,
-            outputs: state.outputs,
-            record_every_s: state.record_every_s,
-            events: state.events,
-            event_buf: Vec::new(),
-            metrics: KernelMetrics::new(),
-            completed: state.completed,
-            active_nodes: state.active_nodes,
-            variable_running: state.variable_running,
-            rack_allocated: state.rack_allocated,
-            rack_capacity: state.rack_capacity,
-            total_nodes: state.total_nodes,
-        })
+        let model = Arc::new(PowerModel::new((*state.cfg).clone(), state.delivery));
+        Ok(Self::assemble(state, model, cooling, KernelMetrics::new()))
     }
 
     /// Swap the power model mid-run — the "what if the power system were
@@ -1146,28 +1036,29 @@ impl RapsSimulation {
         cfg: SystemConfig,
         delivery: PowerDelivery,
     ) -> Result<(), String> {
-        if cfg.total_nodes() != self.total_nodes
-            || cfg.total_racks() != self.rack_capacity.len()
-            || cfg.rack.nodes_per_rack != self.cfg.rack.nodes_per_rack
-            || cfg.partitions.len() != self.cfg.partitions.len()
+        if cfg.total_nodes() != self.state.total_nodes
+            || cfg.total_racks() != self.state.rack_capacity.len()
+            || cfg.rack.nodes_per_rack != self.state.cfg.rack.nodes_per_rack
+            || cfg.partitions.len() != self.state.cfg.partitions.len()
             || cfg
                 .partitions
                 .iter()
-                .zip(&self.cfg.partitions)
+                .zip(&self.state.cfg.partitions)
                 .any(|(a, b)| a.nodes != b.nodes)
         {
             return Err("set_power_model requires an identical machine topology".into());
         }
         self.model = Arc::new(PowerModel::new(cfg.clone(), delivery));
         self.acc = self.model.new_accumulator();
-        self.cfg = Arc::new(cfg);
-        self.power_dirty = true;
+        self.state.cfg = Arc::new(cfg);
+        self.state.delivery = delivery;
+        self.state.power_dirty = true;
         Ok(())
     }
 
     /// The node pool's free-list state (equivalence tests, diagnostics).
     pub fn pool(&self) -> &NodePool {
-        &self.pool
+        &self.state.pool
     }
 
     fn rack_counts_of(&self, nodes: &[u32]) -> Vec<(u32, u32)> {
@@ -1187,7 +1078,7 @@ impl RapsSimulation {
         // Active nodes, per job.
         let model = &self.model;
         let acc = &mut self.acc;
-        for rj in &mut self.running {
+        for rj in &mut self.state.running {
             let elapsed = rj.job.elapsed_at(now);
             let cpu = rj.job.cpu_util.at(elapsed);
             let gpu = rj.job.gpu_util.at(elapsed);
@@ -1207,14 +1098,14 @@ impl RapsSimulation {
         // Idle nodes: rack capacity minus allocated. The default GPU count
         // of the first partition is used for idle nodes, which is exact for
         // single-partition systems and a fine approximation otherwise.
-        let idle_gpus = self.cfg.partitions[0].gpus_per_node;
-        for rack in 0..self.rack_capacity.len() {
-            let idle = self.rack_capacity[rack] - self.rack_allocated[rack];
+        let idle_gpus = self.state.cfg.partitions[0].gpus_per_node;
+        for rack in 0..self.state.rack_capacity.len() {
+            let idle = self.state.rack_capacity[rack] - self.state.rack_allocated[rack];
             if idle > 0 {
                 self.model.add_nodes(&mut self.acc, rack, idle as usize, 0.0, 0.0, idle_gpus);
             }
         }
-        self.snapshot = self.model.evaluate(&self.acc);
+        self.state.snapshot = self.model.evaluate(&self.acc);
     }
 
     /// Forward the held snapshot (and `wb`) across the FMI boundary.
@@ -1224,7 +1115,7 @@ impl RapsSimulation {
     fn forward_cooling_inputs(&mut self, wb: f64) -> Result<(), FmiError> {
         let Some(cooling) = &mut self.cooling else { return Ok(()) };
         for (i, &vr) in cooling.cdu_inputs.iter().enumerate() {
-            let heat = self.snapshot.cdu_heat_w[i];
+            let heat = self.state.snapshot.cdu_heat_w[i];
             if heat.to_bits() != cooling.last_cdu_heat_w[i].to_bits() {
                 cooling.model.set_real(vr, heat)?;
                 cooling.last_cdu_heat_w[i] = heat;
@@ -1235,7 +1126,7 @@ impl RapsSimulation {
             cooling.last_wet_bulb_c = wb;
         }
         if let Some(vr) = cooling.it_power_input {
-            let it_power = self.snapshot.system_w;
+            let it_power = self.state.snapshot.system_w;
             if it_power.to_bits() != cooling.last_it_power_w.to_bits() {
                 cooling.model.set_real(vr, it_power)?;
                 cooling.last_it_power_w = it_power;
@@ -1248,7 +1139,7 @@ impl RapsSimulation {
         if self.cooling.is_none() {
             return Ok(());
         }
-        let wb = self.wet_bulb.sample_at(now as f64);
+        let wb = self.state.wet_bulb.sample_at(now as f64);
         self.forward_cooling_inputs(wb)?;
         let cooling = self.cooling.as_mut().expect("checked above");
         cooling
@@ -1256,8 +1147,8 @@ impl RapsSimulation {
             .do_step((now - COOLING_PERIOD_S) as f64, COOLING_PERIOD_S as f64)?;
         if let Some(vr) = cooling.pue_output {
             let pue = cooling.model.get_real(vr)?;
-            self.outputs.pue.push(pue);
-            self.outputs.pue_stats.push(pue);
+            self.state.outputs.pue.push(pue);
+            self.state.outputs.pue_stats.push(pue);
         }
         let _ = cooling.cooling_power_output; // read on demand by callers
         Ok(())
@@ -1265,35 +1156,36 @@ impl RapsSimulation {
 
     /// Build the §III-B5 run report.
     pub fn report(&self) -> RunReport {
-        let secs = self.clock.elapsed();
+        let s = &self.state;
+        let secs = s.clock.elapsed();
         let hours = secs as f64 / 3600.0;
-        let energy_mwh = self.outputs.energy_j / 3.6e9;
-        let avg_power_mw = self.outputs.power_stats.mean() / 1e6;
-        let avg_loss_mw = self.outputs.loss_stats.mean() / 1e6;
-        let eta = self.outputs.eff_stats.mean();
-        let costs = self.cfg.costs;
+        let energy_mwh = s.outputs.energy_j / 3.6e9;
+        let avg_power_mw = s.outputs.power_stats.mean() / 1e6;
+        let avg_loss_mw = s.outputs.loss_stats.mean() / 1e6;
+        let eta = s.outputs.eff_stats.mean();
+        let costs = s.cfg.costs;
         RunReport {
             sim_seconds: secs,
-            jobs_completed: self.completed,
-            jobs_unfinished: (self.running.len() + self.pending.len() + self.future.len()) as u64,
-            throughput_jobs_per_hour: if hours > 0.0 { self.completed as f64 / hours } else { 0.0 },
+            jobs_completed: s.completed,
+            jobs_unfinished: (s.running.len() + s.pending.len() + s.future.len()) as u64,
+            throughput_jobs_per_hour: if hours > 0.0 { s.completed as f64 / hours } else { 0.0 },
             avg_power_mw,
-            max_power_mw: self.outputs.power_stats.max() / 1e6,
+            max_power_mw: s.outputs.power_stats.max() / 1e6,
             total_energy_mwh: energy_mwh,
             avg_loss_mw,
-            max_loss_mw: self.outputs.loss_stats.max() / 1e6,
+            max_loss_mw: s.outputs.loss_stats.max() / 1e6,
             loss_percent: if avg_power_mw > 0.0 { 100.0 * avg_loss_mw / avg_power_mw } else { 0.0 },
             efficiency: eta,
             co2_tons: RunReport::co2_for(&costs, energy_mwh, eta),
             cost_usd: RunReport::cost_for(&costs, energy_mwh),
-            avg_utilization: self.outputs.util_stats.mean(),
-            avg_pue: if self.outputs.pue_stats.count() > 0 {
-                Some(self.outputs.pue_stats.mean())
+            avg_utilization: s.outputs.util_stats.mean(),
+            avg_pue: if s.outputs.pue_stats.count() > 0 {
+                Some(s.outputs.pue_stats.mean())
             } else {
                 None
             },
-            avg_wait_s: if self.outputs.wait_stats.count() > 0 {
-                self.outputs.wait_stats.mean()
+            avg_wait_s: if s.outputs.wait_stats.count() > 0 {
+                s.outputs.wait_stats.mean()
             } else {
                 0.0
             },

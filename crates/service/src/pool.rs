@@ -445,8 +445,11 @@ fn worker_loop(queue: Arc<RequestQueue>, service: Arc<TwinService>) {
                 obs.slow_queries_total.inc();
             }
         }
-        ticket.conn.complete(ticket.seq, response);
+        // Free the in-flight slot before the answer goes out: a client
+        // that reads it may send its next request at once, and that
+        // request must not find the slot still held and get `Busy`.
         ticket.conn.inflight.fetch_sub(1, Ordering::SeqCst);
+        ticket.conn.complete(ticket.seq, response);
     }
 }
 

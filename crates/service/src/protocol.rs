@@ -326,12 +326,14 @@ impl BatchOutcome {
     }
 }
 
-/// Write one message as a JSON line.
+/// Write one message as a JSON line, newline included, in one write: a
+/// separate write for the `\n` would leave it behind Nagle's algorithm
+/// until the peer's delayed ACK, stalling every round trip.
 pub fn write_message<T: Serialize>(writer: &mut impl Write, message: &T) -> io::Result<()> {
-    let json = serde_json::to_string(message)
+    let mut line = serde_json::to_string(message)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(json.as_bytes())?;
-    writer.write_all(b"\n")?;
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
@@ -394,6 +396,38 @@ pub fn read_message<T: Deserialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts `write` calls; each accepts the whole buffer.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_message_is_one_write_per_message() {
+        let mut wire = CountingWriter::default();
+        let messages = [Request::Status, Request::Advance { seconds: 60 }, Request::Metrics];
+        for (i, message) in messages.iter().enumerate() {
+            write_message(&mut wire, message).unwrap();
+            assert_eq!(wire.writes, i + 1, "message {i} took more than one write");
+        }
+        let text = String::from_utf8(wire.bytes).unwrap();
+        assert_eq!(text.lines().count(), messages.len());
+        assert!(text.ends_with('\n'));
+    }
 
     #[test]
     fn requests_round_trip_the_wire_format() {

@@ -442,6 +442,37 @@ fn pipelined_overload_answers_busy_in_order() {
     handle.shutdown();
 }
 
+/// Strictly sequential clients never see `Busy` at an in-flight cap of
+/// one: the worker frees the connection's slot before it writes the
+/// answer, so a client's next request cannot find the slot still held.
+/// Several clients at once keep the workers contended, so a worker is
+/// often preempted right after it writes an answer: the slot must be
+/// free before that point.
+#[test]
+fn sequential_requests_at_inflight_cap_one_never_get_busy() {
+    let handle =
+        TwinServer::bind(service(), "127.0.0.1:0").unwrap().with_per_client_inflight(1).spawn();
+    let addr = handle.addr();
+    let clients: Vec<_> = (0..6)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = ServiceClient::connect(addr).unwrap();
+                for i in 0..300 {
+                    let response = client.request(&Request::Status).unwrap();
+                    assert!(
+                        !matches!(response, Response::Busy { .. }),
+                        "client {c}: sequential request {i} was refused"
+                    );
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    handle.shutdown();
+}
+
 /// A client storm beyond worker capacity: every request eventually
 /// succeeds through `request_with_retry`, backpressure (not queue
 /// growth) absorbing the overload.

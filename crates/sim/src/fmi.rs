@@ -80,7 +80,7 @@ impl fmt::Display for FmiError {
 impl std::error::Error for FmiError {}
 
 /// A co-simulation model ("FMU-like"): the contract RAPS uses to talk to the
-/// cooling plant, and that the master algorithm in [`crate::master`] drives.
+/// cooling plant through its `CoolingCoupling`.
 ///
 /// `Send + Sync` is part of the contract: models are plain state machines
 /// (no interior mutability across `&self`), which is what lets a snapshot

@@ -23,9 +23,6 @@
 //!   Modelica cooling model as an FMU and couples it to RAPS through the FMI
 //!   standard; we reproduce that architectural boundary with a Rust trait so
 //!   models remain swappable.
-//! * [`master`] — a simple multi-rate Jacobi co-simulation master that steps
-//!   several [`fmi::CoSimModel`]s and moves values across declared
-//!   connections.
 //! * [`ensemble`] — the scenario-batch engine: [`ensemble::EnsembleRunner`]
 //!   fans N independent scenarios (UQ draws, what-if variants, sweeps)
 //!   across the thread-pool executor with per-scenario RNG streams and
@@ -43,7 +40,6 @@ pub mod clock;
 pub mod ensemble;
 pub mod events;
 pub mod fmi;
-pub mod master;
 pub mod rng;
 pub mod series;
 pub mod stats;

@@ -30,6 +30,7 @@ use exadigit_sim::ensemble::EnsembleRunner;
 use exadigit_sim::fmi::CoSimModel;
 use exadigit_sim::Rng;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 const POLICIES: [Policy; 4] =
@@ -339,4 +340,56 @@ fn golden_fixture_frontier_day_loads_and_replays_bit_identically() {
         assert_eq!(x.to_bits(), y.to_bits(), "utilization sample {i} diverged");
     }
     assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits(), "energy diverged");
+}
+
+/// Every leaf of a parsed snapshot keyed by its object path, with its
+/// serialized text. Objects also record a marker of their own, so an
+/// empty object still counts as a key; key order is not part of the
+/// format and plays no part here.
+fn layout(path: String, value: &serde::Value, out: &mut BTreeMap<String, String>) {
+    match value.as_object() {
+        Some(fields) => {
+            out.insert(path.clone(), "{..}".into());
+            for (key, field) in fields {
+                layout(format!("{path}/{key}"), field, out);
+            }
+        }
+        None => {
+            out.insert(path, serde_json::to_string(value).unwrap());
+        }
+    }
+}
+
+/// The fixture pins the snapshot *layout*, not just loadability. The
+/// golden test above only loads and replays it, and the derive ignores
+/// unknown keys and reads missing ones as `null`, so a dropped or
+/// renamed state field, or a new `Option` field, would still load. A
+/// fresh save of the fixture's twin must carry exactly the fixture's
+/// keys, each with a byte-identical serialized value, at the same total
+/// length. (Not named `golden_fixture_*`, so the regeneration command
+/// never runs it against a half-written file.)
+#[test]
+fn fresh_save_has_the_pinned_fixture_layout() {
+    let pinned_text = std::fs::read_to_string(fixture_path()).expect("pinned fixture is readable");
+    let fresh_text = frontier_day_twin().to_snapshot_json().unwrap();
+    let (mut pinned, mut fresh) = (BTreeMap::new(), BTreeMap::new());
+    layout(String::new(), &serde_json::from_str(&pinned_text).unwrap(), &mut pinned);
+    layout(String::new(), &serde_json::from_str(&fresh_text).unwrap(), &mut fresh);
+    let differing: BTreeSet<&String> = pinned
+        .keys()
+        .chain(fresh.keys())
+        .filter(|key| pinned.get(*key) != fresh.get(*key))
+        .collect();
+    assert!(
+        differing.is_empty() && pinned_text.len() == fresh_text.len(),
+        "a fresh save no longer matches the pinned Frontier-day fixture \
+         ({} vs {} bytes); keys missing, added or changed: {differing:?}\n\
+         If the snapshot layout changed (a state field added, dropped, renamed \
+         or retyped), bump SNAPSHOT_FORMAT_VERSION (crates/core/src/twin.rs) and \
+         regenerate the fixture. If only the simulation's behaviour changed on \
+         purpose, regenerate the fixture alone. Regenerate with \
+         EXADIGIT_REGEN_FIXTURES=1 cargo test golden_fixture",
+        fresh_text.len(),
+        pinned_text.len(),
+    );
 }
