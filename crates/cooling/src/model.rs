@@ -185,7 +185,7 @@ impl CoolingModel {
         let heat = self.plant.spec.heat_per_cdu_w() * load_fraction.clamp(0.0, 1.2);
         let heats = vec![heat; self.plant.spec.num_cdus];
         for _ in 0..n {
-            let cmd = self.controls.update(&self.plant.state, &self.plant.spec.clone(), 15.0);
+            let cmd = self.controls.update(&self.plant.state, &self.plant.spec, 15.0);
             self.plant.apply_commands(&cmd);
             // Settling failures are ignored; the first real step will
             // surface persistent solver trouble.
@@ -195,7 +195,7 @@ impl CoolingModel {
     }
 
     fn refresh_outputs(&mut self) {
-        let spec = self.plant.spec.clone();
+        let spec = &self.plant.spec;
         let s = &self.plant.state;
         let mut v = self.num_inputs;
         let put = |values: &mut Vec<f64>, idx: &mut usize, val: f64| {
@@ -316,11 +316,10 @@ impl CoSimModel for CoolingModel {
         if step_size <= 0.0 {
             return Err(FmiError::InvalidStep(format!("non-positive step {step_size}")));
         }
-        let spec = self.plant.spec.clone();
-        let cmd = self.controls.update(&self.plant.state, &spec, step_size);
+        let cmd = self.controls.update(&self.plant.state, &self.plant.spec, step_size);
         self.plant.apply_commands(&cmd);
         self.plant
-            .step(&self.cdu_heat_w.clone(), self.wet_bulb_c, step_size)
+            .step(&self.cdu_heat_w, self.wet_bulb_c, step_size)
             .map_err(|e| FmiError::SolverFailure(e.to_string()))?;
         self.refresh_outputs();
         self.steps += 1;

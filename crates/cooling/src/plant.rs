@@ -13,7 +13,7 @@ use crate::spec::PlantSpec;
 use exadigit_network::hydraulic::{
     BranchElement, BranchId, HydraulicNetwork, NodeId, SolverError,
 };
-use exadigit_network::thermal::{mass_flow, mix_streams, temperature_rise};
+use exadigit_network::thermal::{mass_flow, temperature_rise, StreamMixer};
 use exadigit_thermo::fluid::Fluid;
 use exadigit_thermo::hx::HeatExchanger;
 use exadigit_thermo::pipe::{ThermalVolume, TransportDelay};
@@ -104,6 +104,18 @@ pub struct PlantState {
     pub aux_power_w: f64,
     /// CDU pump power total, W.
     pub cdu_pump_power_w: f64,
+}
+
+/// One CDU's flows over a macro step, with the flow-only quantities its
+/// thermal sub-steps share.
+struct CduFlows {
+    mdot_sec: f64,
+    mdot_prim: f64,
+    /// HEX-1600 UA at these flows.
+    hex_ua: f64,
+    /// Sub-step decay factors of the secondary return and supply volumes.
+    return_decay: f64,
+    supply_decay: f64,
 }
 
 /// The plant: hydraulics + thermal state + component models.
@@ -488,15 +500,20 @@ impl Plant {
                 self.tower_pump.electrical_power(ct_sol.flow(b).max(0.0), speed, 26.0);
         }
 
-        // CDU secondary loops: analytic pump/system operating point.
-        let mut sec_flows = Vec::with_capacity(self.spec.num_cdus);
+        // --- Thermal sub-stepping ---
+        let substeps = (dt_s / self.spec.thermal_substep_s).ceil().max(1.0) as usize;
+        let h = dt_s / substeps as f64;
+
+        // CDU secondary loops: analytic pump/system operating point, and
+        // everything the sub-steps need that depends only on this step's
+        // flows.
+        let mut cdu_flows = Vec::with_capacity(self.spec.num_cdus);
         let mut cdu_pump_total = 0.0;
         for i in 0..self.spec.num_cdus {
             let speed = self.state.cdus[i].pump_speed;
             let k_eff = self.k_cdu_secondary * self.blockage_factor[i];
             let q = self.cdu_pump.operating_flow(k_eff, speed, 32.0);
             let power = self.cdu_pump.electrical_power(q, speed, 32.0);
-            sec_flows.push(q);
             cdu_pump_total += power;
             let cdu = &mut self.state.cdus[i];
             cdu.secondary_flow_m3s = q;
@@ -507,15 +524,37 @@ impl Plant {
             // Secondary gauge pressures: discharge = loop drop + static.
             cdu.secondary_supply_pressure_pa = 150_000.0 + k_eff * q * q;
             cdu.secondary_return_pressure_pa = 150_000.0;
+
+            let mdot_sec = mass_flow(Fluid::Water, q.max(1e-6), 32.0);
+            let mdot_prim = mass_flow(Fluid::Water, cdu.primary_flow_m3s.max(1e-9), 32.0);
+            let (ret, sup) = (&self.cdu_sec_return[i], &self.cdu_sec_supply[i]);
+            let return_decay = ret.decay(mdot_sec, h);
+            cdu_flows.push(CduFlows {
+                mdot_sec,
+                mdot_prim,
+                hex_ua: self.cdu_hex.ua(mdot_sec, mdot_prim),
+                return_decay,
+                // The loop's two halves hold the same mass, so one factor.
+                supply_decay: if sup.mass_kg == ret.mass_kg {
+                    return_decay
+                } else {
+                    sup.decay(mdot_sec, h)
+                },
+            });
         }
 
-        // --- Thermal sub-stepping ---
-        let substeps = (dt_s / self.spec.thermal_substep_s).ceil().max(1.0) as usize;
-        let h = dt_s / substeps as f64;
         let mdot_prim_total = mass_flow(Fluid::Water, q_prim_total.max(1e-6), 32.0);
         let mdot_ct_total = mass_flow(Fluid::Water, q_ct_total.max(1e-6), 26.0);
         let n_cells = self.state.cells_staged.max(1) as usize;
         let n_ehx = self.state.ehx_staged.max(1) as f64;
+        // EHX bank: UA scales with the staged fraction of the bank.
+        let ehx_ua =
+            self.ehx_total.ua_scaled(n_ehx / self.spec.ehx.count as f64, mdot_prim_total, mdot_ct_total);
+        let cep_decay = self.cep_supply_vol.decay(mdot_prim_total, h);
+        let basin_decay = self.basin.decay(mdot_ct_total, h);
+        // Tower cells: active cells share the loop flow.
+        let per_cell = mdot_ct_total / n_cells as f64;
+        let cell_ntu = self.tower_cell.ntu(per_cell, self.state.fan_speed);
         let mut heat_rejected = 0.0;
 
         for _ in 0..substeps {
@@ -523,32 +562,28 @@ impl Plant {
             let t_htws_hall =
                 self.supply_delay.step(self.cep_supply_vol.temperature, q_prim_total, h);
 
-            // CDU loops.
-            let mut prim_out_streams = Vec::with_capacity(self.spec.num_cdus);
-            for i in 0..self.spec.num_cdus {
-                let q_sec = sec_flows[i];
-                let mdot_sec = mass_flow(Fluid::Water, q_sec.max(1e-6), 32.0);
-                let mdot_prim =
-                    mass_flow(Fluid::Water, self.state.cdus[i].primary_flow_m3s.max(1e-9), 32.0);
-
+            // CDU loops; their primary returns mix on the way back.
+            let mut prim_return = StreamMixer::default();
+            for (i, f) in cdu_flows.iter().enumerate() {
                 // Racks heat the secondary stream (eq. 7 inverse).
                 let t_rack_out = temperature_rise(
                     Fluid::Water,
                     self.cdu_sec_supply[i].temperature,
-                    mdot_sec,
+                    f.mdot_sec,
                     cdu_heat_w[i],
                 );
-                self.cdu_sec_return[i].step(t_rack_out, mdot_sec, 0.0, h);
+                self.cdu_sec_return[i].step_decayed(t_rack_out, f.mdot_sec, 0.0, h, f.return_decay);
 
                 // HEX-1600: secondary (hot) against primary (cold).
-                let hx = self.cdu_hex.evaluate(
+                let hx = self.cdu_hex.evaluate_at_ua(
+                    f.hex_ua,
                     self.cdu_sec_return[i].temperature,
-                    mdot_sec,
+                    f.mdot_sec,
                     t_htws_hall,
-                    mdot_prim,
+                    f.mdot_prim,
                 );
-                self.cdu_sec_supply[i].step(hx.t_hot_out, mdot_sec, 0.0, h);
-                prim_out_streams.push((mdot_prim, hx.t_cold_out));
+                self.cdu_sec_supply[i].step_decayed(hx.t_hot_out, f.mdot_sec, 0.0, h, f.supply_decay);
+                prim_return.add(f.mdot_prim, hx.t_cold_out);
 
                 let cdu = &mut self.state.cdus[i];
                 cdu.hex_heat_w = hx.heat_w;
@@ -559,27 +594,27 @@ impl Plant {
             }
 
             // Mixed primary return travels back to the CEP.
-            let t_prim_ret_hall = mix_streams(&prim_out_streams);
-            let t_htwr_cep = self.return_delay.step(t_prim_ret_hall, q_prim_total, h);
+            let t_htwr_cep = self.return_delay.step(prim_return.temperature(), q_prim_total, h);
 
-            // EHX bank: primary (hot) against tower water (cold). UA scales
-            // with the staged fraction of the bank.
-            let mut ehx = self.ehx_total.clone();
-            ehx.ua_design *= n_ehx / self.spec.ehx.count as f64;
-            let ehx_res =
-                ehx.evaluate(t_htwr_cep, mdot_prim_total, self.basin.temperature, mdot_ct_total);
-            self.cep_supply_vol.step(ehx_res.t_hot_out, mdot_prim_total, 0.0, h);
+            // EHX bank: primary (hot) against tower water (cold).
+            let ehx_res = self.ehx_total.evaluate_at_ua(
+                ehx_ua,
+                t_htwr_cep,
+                mdot_prim_total,
+                self.basin.temperature,
+                mdot_ct_total,
+            );
+            self.cep_supply_vol.step_decayed(ehx_res.t_hot_out, mdot_prim_total, 0.0, h, cep_decay);
 
-            // Tower cells: active cells share the loop flow.
-            let per_cell = mdot_ct_total / n_cells as f64;
-            let cell_res = self.tower_cell.evaluate(
+            let cell_res = self.tower_cell.evaluate_at_ntu(
+                cell_ntu,
                 ehx_res.t_cold_out,
                 per_cell,
                 wet_bulb_c,
                 self.state.fan_speed,
             );
             heat_rejected += cell_res.heat_rejected_w * n_cells as f64 * h;
-            self.basin.step(cell_res.t_water_out, mdot_ct_total, 0.0, h);
+            self.basin.step_decayed(cell_res.t_water_out, mdot_ct_total, 0.0, h, basin_decay);
 
             self.state.htws_temp_c = t_htws_hall;
             self.state.htwr_temp_c = t_htwr_cep;

@@ -14,8 +14,9 @@
 //! * the **differential part** — thermal storage in volumes and transport
 //!   delays — is integrated by the components themselves (exact exponential
 //!   updates) or by the general-purpose integrators in [`ode`];
-//! * [`linalg`] provides the small dense LU factorisation used by the
-//!   Newton steps;
+//! * [`linalg`] provides the small dense LU factorisation: the Newton
+//!   step factors its pressure block with it after eliminating the branch
+//!   flows, and checks itself against it on the whole Jacobian;
 //! * [`thermal`] provides stream-mixing helpers for junction temperatures.
 
 #![warn(missing_docs)]

@@ -1,9 +1,13 @@
 //! Small dense linear algebra.
 //!
-//! The hydraulic Newton solver needs to factor Jacobians of a few dozen
-//! rows at every iteration of every 15 s cooling step. Networks this size
-//! are fastest with a plain dense LU with partial pivoting — no external
-//! BLAS needed, no sparse bookkeeping worth its overhead.
+//! A plain LU with partial pivoting, no external BLAS. The hydraulic
+//! Newton solver does not factor its whole Jacobian with it: that matrix
+//! is a diagonal block of branch derivatives bordered by ±1 links to the
+//! junction pressures, and eliminating the border first leaves only the
+//! (nodes − 1)² pressure block for `lu_solve_in_place` (see
+//! `hydraulic`). The dense [`Matrix::solve`] stays as that solver's
+//! reference and as its path for Jacobians the bordered elimination
+//! would not reproduce exactly.
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,63 +65,66 @@ impl Matrix {
         y
     }
 
-    /// Solve `A·x = b` in place via LU with partial pivoting; consumes the
-    /// matrix (it is overwritten by the factors). Returns `None` when the
-    /// matrix is numerically singular.
+    /// Solve `A·x = b` via LU with partial pivoting; consumes the matrix
+    /// (it is overwritten by the factors). Returns `None` when the matrix
+    /// is numerically singular.
     pub fn solve(mut self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve needs a square matrix");
         assert_eq!(b.len(), self.rows);
-        let n = self.rows;
-        let mut x: Vec<f64> = b.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
-
-        for k in 0..n {
-            // Partial pivot: largest magnitude in column k at/below row k.
-            let mut pivot_row = k;
-            let mut pivot_val = self[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = self[(i, k)].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val < 1e-14 {
-                return None;
-            }
-            if pivot_row != k {
-                for j in 0..n {
-                    let tmp = self[(k, j)];
-                    self[(k, j)] = self[(pivot_row, j)];
-                    self[(pivot_row, j)] = tmp;
-                }
-                x.swap(k, pivot_row);
-                perm.swap(k, pivot_row);
-            }
-            // Eliminate below.
-            let pivot = self[(k, k)];
-            for i in (k + 1)..n {
-                let factor = self[(i, k)] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                self[(i, k)] = 0.0;
-                for j in (k + 1)..n {
-                    self[(i, j)] -= factor * self[(k, j)];
-                }
-                x[i] -= factor * x[k];
-            }
-        }
-        // Back substitution.
-        for k in (0..n).rev() {
-            let mut sum = x[k];
-            for j in (k + 1)..n {
-                sum -= self[(k, j)] * x[j];
-            }
-            x[k] = sum / self[(k, k)];
-        }
-        Some(x)
+        let mut x = b.to_vec();
+        lu_solve_in_place(&mut self.data, self.rows, &mut x).then_some(x)
     }
+}
+
+/// Solve `A·x = b` for the row-major `n × n` matrix `a` by LU with partial
+/// pivoting. `a` is overwritten by its factors and `x` holds `b` on entry
+/// and the solution on exit. Returns `false` when a pivot falls below
+/// 1e-14 (numerically singular); `x` is then unspecified.
+pub(crate) fn lu_solve_in_place(a: &mut [f64], n: usize, x: &mut [f64]) -> bool {
+    debug_assert!(a.len() == n * n && x.len() == n);
+    for k in 0..n {
+        // Partial pivot: largest magnitude in column k at/below row k.
+        let mut pivot_row = k;
+        let mut pivot_val = a[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = a[i * n + k].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = i;
+            }
+        }
+        if pivot_val < 1e-14 {
+            return false;
+        }
+        if pivot_row != k {
+            for j in 0..n {
+                a.swap(k * n + j, pivot_row * n + j);
+            }
+            x.swap(k, pivot_row);
+        }
+        // Eliminate below.
+        let pivot = a[k * n + k];
+        for i in (k + 1)..n {
+            let factor = a[i * n + k] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            a[i * n + k] = 0.0;
+            for j in (k + 1)..n {
+                a[i * n + j] -= factor * a[k * n + j];
+            }
+            x[i] -= factor * x[k];
+        }
+    }
+    // Back substitution.
+    for k in (0..n).rev() {
+        let mut sum = x[k];
+        for j in (k + 1)..n {
+            sum -= a[k * n + j] * x[j];
+        }
+        x[k] = sum / a[k * n + k];
+    }
+    true
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

@@ -8,25 +8,40 @@
 
 use exadigit_thermo::fluid::Fluid;
 
-/// Flow-weighted mixing temperature of several streams `(mdot_kg_s, t_c)`.
-/// Streams with non-positive flow are ignored; with no positive flow the
-/// result is the plain average of the given temperatures (a harmless
-/// convention for a stagnant junction).
-pub fn mix_streams(streams: &[(f64, f64)]) -> f64 {
-    let mut mdot_sum = 0.0;
-    let mut weighted = 0.0;
-    for &(mdot, t) in streams {
+/// Flow-weighted mixing temperature of streams `(mdot_kg_s, t_c)` added
+/// one at a time, so a caller producing them in a loop need not collect
+/// them. Streams with non-positive flow are ignored; with no positive flow
+/// the result is the plain average of the given temperatures (a harmless
+/// convention for a stagnant junction), and with no stream at all NaN.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StreamMixer {
+    mdot_sum: f64,
+    weighted: f64,
+    /// Plain sum of every temperature, for the stagnant-junction average.
+    t_sum: f64,
+    count: usize,
+}
+
+impl StreamMixer {
+    /// Add a stream of `mdot` kg/s at `t` °C.
+    pub fn add(&mut self, mdot: f64, t: f64) {
         if mdot > 0.0 {
-            mdot_sum += mdot;
-            weighted += mdot * t;
+            self.mdot_sum += mdot;
+            self.weighted += mdot * t;
         }
+        self.t_sum += t;
+        self.count += 1;
     }
-    if mdot_sum > 0.0 {
-        weighted / mdot_sum
-    } else if streams.is_empty() {
-        f64::NAN
-    } else {
-        streams.iter().map(|&(_, t)| t).sum::<f64>() / streams.len() as f64
+
+    /// Mixed temperature of the streams added so far.
+    pub fn temperature(&self) -> f64 {
+        if self.mdot_sum > 0.0 {
+            self.weighted / self.mdot_sum
+        } else if self.count == 0 {
+            f64::NAN
+        } else {
+            self.t_sum / self.count as f64
+        }
     }
 }
 
@@ -47,6 +62,14 @@ pub fn mass_flow(fluid: Fluid, q_m3s: f64, t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mix_streams(streams: &[(f64, f64)]) -> f64 {
+        let mut mixer = StreamMixer::default();
+        for &(mdot, t) in streams {
+            mixer.add(mdot, t);
+        }
+        mixer.temperature()
+    }
 
     #[test]
     fn mixing_two_equal_streams_averages() {

@@ -78,6 +78,50 @@ impl Default for WhatIfSpec {
     }
 }
 
+impl WhatIfSpec {
+    /// Bound a spec that arrived over the wire before it reaches a fork:
+    /// the horizon and draw caps keep a handler thread from wedging, and
+    /// the float knobs must be finite (a JSON `null` decodes to NaN, which
+    /// every comparison ignores, and `1e999` to infinity), with the UQ
+    /// σs also non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        const MAX_HORIZON_S: u64 = 366 * 86_400;
+        const MAX_DRAWS: u64 = 4_096;
+        if self.horizon_s > MAX_HORIZON_S {
+            return Err(format!(
+                "horizon of {} s exceeds the {MAX_HORIZON_S} s (1 year) per-query cap",
+                self.horizon_s
+            ));
+        }
+        if self.draws > MAX_DRAWS {
+            return Err(format!("{} draws exceed the {MAX_DRAWS} per-query cap", self.draws));
+        }
+        let finite = |name: &str, v: f64| {
+            if v.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("{name} must be finite, got {v}"))
+            }
+        };
+        finite("wet_bulb_offset_c", self.wet_bulb_offset_c)?;
+        if let Some(c) = self.wet_bulb_c {
+            finite("wet_bulb_c", c)?;
+        }
+        let p = &self.perturbations;
+        for (name, sigma) in [
+            ("perturbations.rectifier_eff_abs", p.rectifier_eff_abs),
+            ("perturbations.sivoc_eff_abs", p.sivoc_eff_abs),
+            ("perturbations.component_power_rel", p.component_power_rel),
+        ] {
+            finite(name, sigma)?;
+            if sigma < 0.0 {
+                return Err(format!("{name} is a σ and must not be negative, got {sigma}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// What one what-if produced, marginal over the queried horizon.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WhatIfOutcome {
@@ -205,19 +249,8 @@ pub fn run_whatif(
     spec: &WhatIfSpec,
     threads: Option<usize>,
 ) -> Result<WhatIfOutcome, String> {
-    // Specs arrive over the wire: bound them before they can wedge a
-    // handler thread (mirrors the Advance cap in the server).
-    const MAX_HORIZON_S: u64 = 366 * 86_400;
-    const MAX_DRAWS: u64 = 4_096;
-    if spec.horizon_s > MAX_HORIZON_S {
-        return Err(format!(
-            "horizon of {} s exceeds the {MAX_HORIZON_S} s (1 year) per-query cap",
-            spec.horizon_s
-        ));
-    }
-    if spec.draws > MAX_DRAWS {
-        return Err(format!("{} draws exceed the {MAX_DRAWS} per-query cap", spec.draws));
-    }
+    // Specs arrive over the wire: bound them before any work.
+    spec.validate()?;
     let (from_s, to_s) = (snapshot.taken_at_s, snapshot.taken_at_s + spec.horizon_s);
     if spec.draws <= 1 {
         let run = run_fork(configured_fork(snapshot, spec)?, spec, None)?;
@@ -317,6 +350,51 @@ mod tests {
         assert!(out.energy_mwh > 0.0);
         assert_eq!(out.draws, 1);
         assert_eq!(out.power_std_mw, 0.0);
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_knobs_and_negative_sigmas() {
+        assert!(WhatIfSpec::default().validate().is_ok());
+        let bad = [
+            WhatIfSpec { wet_bulb_offset_c: f64::NAN, ..WhatIfSpec::default() },
+            WhatIfSpec { wet_bulb_offset_c: f64::INFINITY, ..WhatIfSpec::default() },
+            WhatIfSpec { wet_bulb_c: Some(f64::NAN), ..WhatIfSpec::default() },
+            WhatIfSpec { wet_bulb_c: Some(f64::NEG_INFINITY), ..WhatIfSpec::default() },
+            WhatIfSpec {
+                perturbations: UqPerturbations { sivoc_eff_abs: -0.01, ..UqPerturbations::default() },
+                ..WhatIfSpec::default()
+            },
+            WhatIfSpec {
+                perturbations: UqPerturbations {
+                    component_power_rel: f64::NAN,
+                    ..UqPerturbations::default()
+                },
+                ..WhatIfSpec::default()
+            },
+            WhatIfSpec {
+                perturbations: UqPerturbations {
+                    rectifier_eff_abs: f64::INFINITY,
+                    ..UqPerturbations::default()
+                },
+                ..WhatIfSpec::default()
+            },
+        ];
+        for spec in &bad {
+            assert!(spec.validate().is_err(), "{spec:?} must be refused");
+        }
+        // A zero σ is a valid (degenerate) ensemble; negative offsets and
+        // sub-zero wet bulbs are valid weather.
+        let fine = WhatIfSpec {
+            wet_bulb_offset_c: -4.0,
+            wet_bulb_c: Some(-10.0),
+            perturbations: UqPerturbations {
+                rectifier_eff_abs: 0.0,
+                sivoc_eff_abs: 0.0,
+                component_power_rel: 0.0,
+            },
+            ..WhatIfSpec::default()
+        };
+        assert!(fine.validate().is_ok());
     }
 
     #[test]

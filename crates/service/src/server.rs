@@ -736,6 +736,37 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_wet_bulb_offset_from_the_wire_is_an_error_and_not_cached() {
+        // The vendored JSON decodes `null` in a float field to NaN and
+        // `1e999` to infinity. Unchecked, a NaN offset answered exactly
+        // the no-offset numbers and an infinite one a plausible PUE.
+        let svc = service();
+        svc.handle(&Request::Advance { seconds: 600 });
+        let Response::SnapshotTaken(info) =
+            svc.handle(&Request::Snapshot { label: "base".into() })
+        else {
+            panic!()
+        };
+        let valid = Request::Query {
+            snapshot_id: info.id,
+            spec: WhatIfSpec { horizon_s: 300, wet_bulb_offset_c: 1.5, ..WhatIfSpec::default() },
+        };
+        let json = serde_json::to_string(&valid).unwrap();
+        assert!(json.contains(r#""wet_bulb_offset_c":1.5"#), "{json}");
+        for literal in ["null", "1e999"] {
+            let line = json.replace(r#""wet_bulb_offset_c":1.5"#, &format!(r#""wet_bulb_offset_c":{literal}"#));
+            let request: Request = serde_json::from_str(&line).unwrap();
+            let Request::Query { spec, .. } = &request else { panic!() };
+            assert!(!spec.wet_bulb_offset_c.is_finite(), "{literal} decodes non-finite");
+            let r = svc.handle(&request);
+            let Response::Error { message } = &r else { panic!("{literal}: {r:?}") };
+            assert!(message.contains("wet_bulb_offset_c"), "{message}");
+        }
+        let Response::Status(s) = svc.handle(&Request::Status) else { panic!() };
+        assert_eq!(s.cache_entries, 0, "a refused spec must not be cached");
+    }
+
+    #[test]
     fn batch_returns_in_spec_order_with_cache_hits() {
         let svc = service();
         svc.handle(&Request::Advance { seconds: 600 });

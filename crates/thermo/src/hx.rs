@@ -90,11 +90,19 @@ impl HeatExchanger {
 
     /// UA at the given side mass flows (kg/s).
     pub fn ua(&self, mdot_hot: f64, mdot_cold: f64) -> f64 {
+        self.ua_scaled(1.0, mdot_hot, mdot_cold)
+    }
+
+    /// UA of `share` of the design area (the staged part of a bank) at the
+    /// given side mass flows (kg/s). Depends on flows only, so a caller
+    /// evaluating many inlet temperatures at one flow computes it once and
+    /// passes it to [`Self::evaluate_at_ua`].
+    pub fn ua_scaled(&self, share: f64, mdot_hot: f64, mdot_cold: f64) -> f64 {
         let m_avg = 0.5 * (mdot_hot + mdot_cold);
         if m_avg <= 0.0 {
             return 0.0;
         }
-        self.ua_design * (m_avg / self.mdot_design).powf(0.7)
+        self.ua_design * share * (m_avg / self.mdot_design).powf(0.7)
     }
 
     /// Evaluate the exchanger for the given inlet conditions.
@@ -103,6 +111,19 @@ impl HeatExchanger {
     /// either side transfers no heat.
     pub fn evaluate(
         &self,
+        t_hot_in: f64,
+        mdot_hot: f64,
+        t_cold_in: f64,
+        mdot_cold: f64,
+    ) -> HxResult {
+        self.evaluate_at_ua(self.ua(mdot_hot, mdot_cold), t_hot_in, mdot_hot, t_cold_in, mdot_cold)
+    }
+
+    /// [`Self::evaluate`] with the UA at these flows given (from
+    /// [`Self::ua`] or [`Self::ua_scaled`]).
+    pub fn evaluate_at_ua(
+        &self,
+        ua: f64,
         t_hot_in: f64,
         mdot_hot: f64,
         t_cold_in: f64,
@@ -117,11 +138,16 @@ impl HeatExchanger {
             };
         }
         let t_mean = 0.5 * (t_hot_in + t_cold_in);
-        let c_hot = mdot_hot * self.hot_fluid.specific_heat(t_mean);
-        let c_cold = mdot_cold * self.cold_fluid.specific_heat(t_mean);
+        let cp_hot = self.hot_fluid.specific_heat(t_mean);
+        let cp_cold = if self.cold_fluid == self.hot_fluid {
+            cp_hot
+        } else {
+            self.cold_fluid.specific_heat(t_mean)
+        };
+        let (c_hot, c_cold) = (mdot_hot * cp_hot, mdot_cold * cp_cold);
         let (c_min, c_max) = if c_hot < c_cold { (c_hot, c_cold) } else { (c_cold, c_hot) };
         let cr = c_min / c_max;
-        let ntu = self.ua(mdot_hot, mdot_cold) / c_min;
+        let ntu = ua / c_min;
         let eff = effectiveness_counterflow(ntu, cr);
         let q = eff * c_min * (t_hot_in - t_cold_in);
         HxResult {

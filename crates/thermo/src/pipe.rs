@@ -138,6 +138,21 @@ impl ThermalVolume {
     /// steps remain stable (important: the cooling model steps at 15 s but
     /// CDU volumes have time constants of the same order).
     pub fn step(&mut self, t_in: f64, mdot: f64, q_ext_w: f64, dt: f64) {
+        self.step_decayed(t_in, mdot, q_ext_w, dt, self.decay(mdot, dt));
+    }
+
+    /// The factor `exp(−ṁ/M · dt)` by which a step of `dt` seconds at
+    /// `mdot` kg/s shrinks the distance to the equilibrium temperature. It
+    /// depends on flow only, so a caller taking many steps at one flow
+    /// computes it once and passes it to [`Self::step_decayed`].
+    pub fn decay(&self, mdot: f64, dt: f64) -> f64 {
+        // dT/dt = a(T_inf - T) with a = mdot/M.
+        let a = mdot / self.mass_kg;
+        (-a * dt).exp()
+    }
+
+    /// [`Self::step`] with the decay factor for this `mdot` and `dt` given.
+    pub fn step_decayed(&mut self, t_in: f64, mdot: f64, q_ext_w: f64, dt: f64, decay: f64) {
         let cp = self.fluid.specific_heat(self.temperature);
         let c_thermal = self.mass_kg * cp;
         if mdot <= 1e-12 {
@@ -145,10 +160,8 @@ impl ThermalVolume {
             self.temperature += q_ext_w * dt / c_thermal;
             return;
         }
-        // dT/dt = a(T_inf - T) with a = mdot/M, T_inf = t_in + q/(mdot cp)
-        let a = mdot / self.mass_kg;
+        // T_inf = t_in + q/(mdot cp).
         let t_inf = t_in + q_ext_w / (mdot * cp);
-        let decay = (-a * dt).exp();
         self.temperature = t_inf + (self.temperature - t_inf) * decay;
     }
 

@@ -70,18 +70,36 @@ impl Pump {
         (s * s * self.shutoff_head_m - self.head_coeff * q * q).max(0.0)
     }
 
+    /// Weight density `ρ(t)·g` of the pumped fluid, Pa per metre of head.
+    /// Fixed for a whole hydraulic solve, so the solver evaluates it once
+    /// and passes it to [`Self::pressure_rise_at`] and
+    /// [`Self::dpressure_dflow_at`].
+    pub fn rho_g(&self, t: f64) -> f64 {
+        self.fluid.density(t) * G
+    }
+
     /// Pressure rise (Pa) at flow `q` (m³/s), speed `s`, temperature `t` °C.
     pub fn pressure_rise(&self, q: f64, s: f64, t: f64) -> f64 {
-        self.fluid.density(t) * G * self.head(q, s)
+        self.pressure_rise_at(self.rho_g(t), q, s)
+    }
+
+    /// [`Self::pressure_rise`] with the weight density `rho_g` given.
+    pub fn pressure_rise_at(&self, rho_g: f64, q: f64, s: f64) -> f64 {
+        rho_g * self.head(q, s)
     }
 
     /// Derivative of pressure rise with respect to flow, Pa/(m³/s) — used
     /// by the Newton hydraulic solver.
     pub fn dpressure_dflow(&self, q: f64, s: f64, t: f64) -> f64 {
+        self.dpressure_dflow_at(self.rho_g(t), q, s)
+    }
+
+    /// [`Self::dpressure_dflow`] with the weight density `rho_g` given.
+    pub fn dpressure_dflow_at(&self, rho_g: f64, q: f64, s: f64) -> f64 {
         if s <= 0.0 || self.head(q, s) <= 0.0 {
             return 0.0;
         }
-        -2.0 * self.fluid.density(t) * G * self.head_coeff * q
+        -2.0 * rho_g * self.head_coeff * q
     }
 
     /// Hydraulic efficiency at flow `q` and speed `s`: quadratic in the

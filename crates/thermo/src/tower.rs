@@ -57,9 +57,20 @@ impl CoolingTowerCell {
         }
     }
 
-    /// NTU scaling with flows: `NTU ∝ (mdot_air / design)^0.6 ·
-    /// (mdot_water/design)^-0.4` (Braun's exponent pair).
-    fn ntu(&self, mdot_water: f64, mdot_air: f64) -> f64 {
+    /// Air mass flow at a relative fan speed (clamped to `[0, 1]`): the
+    /// fan-driven flow plus a natural-draft floor of 10 % of design.
+    fn air_flow(&self, fan_speed: f64) -> f64 {
+        let air_frac = (0.1 + 0.9 * fan_speed.clamp(0.0, 1.0)).min(1.0);
+        self.mdot_air_design * air_frac
+    }
+
+    /// NTU at a water mass flow (kg/s) and relative fan speed, scaling
+    /// with flows as `NTU ∝ (mdot_air / design)^0.6 ·
+    /// (mdot_water/design)^-0.4` (Braun's exponent pair). Depends on flows
+    /// only, so a caller evaluating many inlet temperatures at one flow
+    /// computes it once and passes it to [`Self::evaluate_at_ntu`].
+    pub fn ntu(&self, mdot_water: f64, fan_speed: f64) -> f64 {
+        let mdot_air = self.air_flow(fan_speed);
         if mdot_water <= 0.0 || mdot_air <= 0.0 {
             return 0.0;
         }
@@ -82,6 +93,20 @@ impl CoolingTowerCell {
         t_wet_bulb: f64,
         fan_speed: f64,
     ) -> TowerResult {
+        let ntu = self.ntu(mdot_water, fan_speed);
+        self.evaluate_at_ntu(ntu, t_water_in, mdot_water, t_wet_bulb, fan_speed)
+    }
+
+    /// [`Self::evaluate`] with the NTU at this water flow and fan speed
+    /// given (from [`Self::ntu`]).
+    pub fn evaluate_at_ntu(
+        &self,
+        ntu: f64,
+        t_water_in: f64,
+        mdot_water: f64,
+        t_wet_bulb: f64,
+        fan_speed: f64,
+    ) -> TowerResult {
         let fan_speed = fan_speed.clamp(0.0, 1.0);
         if mdot_water <= 1e-9 {
             return TowerResult {
@@ -91,9 +116,7 @@ impl CoolingTowerCell {
                 approach_k: t_water_in - t_wet_bulb,
             };
         }
-        // Air flow: fan-driven plus a small natural-draft floor.
-        let air_frac = (0.1 + 0.9 * fan_speed).min(1.0);
-        let mdot_air = self.mdot_air_design * air_frac;
+        let mdot_air = self.air_flow(fan_speed);
 
         // Braun's effective saturation specific heat over the span between
         // wet-bulb and entering water temperature.
@@ -104,7 +127,6 @@ impl CoolingTowerCell {
         let c_air = mdot_air * cs;
         let (c_min, c_max) = if c_water < c_air { (c_water, c_air) } else { (c_air, c_water) };
         let cr = c_min / c_max;
-        let ntu = self.ntu(mdot_water, mdot_air);
         let eff = effectiveness_counterflow(ntu, cr);
 
         let q = (eff * c_min * (t_water_in - t_wet_bulb)).max(0.0);

@@ -6,6 +6,7 @@
 //! `ΔP = k(x) · Q²` where the opening-dependent coefficient follows either
 //! a linear or equal-percentage inherent characteristic.
 
+use crate::pipe::HydraulicResistance;
 use serde::{Deserialize, Serialize};
 
 /// Inherent flow characteristic of the valve trim.
@@ -77,9 +78,15 @@ impl ControlValve {
         self.k_open / (phi * phi)
     }
 
+    /// The valve at its current opening as a fixed quadratic resistance —
+    /// what a hydraulic solve sees while the opening does not change.
+    pub fn as_resistance(&self) -> HydraulicResistance {
+        HydraulicResistance { k: self.resistance() }
+    }
+
     /// Pressure drop (Pa) at volumetric flow `q` (m³/s).
     pub fn pressure_drop(&self, q: f64) -> f64 {
-        self.resistance() * q * q.abs()
+        self.as_resistance().pressure_drop(q)
     }
 }
 
