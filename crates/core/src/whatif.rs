@@ -579,12 +579,82 @@ mod tests {
     use super::*;
     use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
 
+    // FNV-1a-64 pins (see `fnv_bits`) of every number the studies below
+    // return on these tests' inputs.
+    const PIN_DELIVERY: u64 = 0x93ae_34db_feef_b9a3;
+    const PIN_SETPOINT_SWEEP: u64 = 0x4889_6524_58d5_3a4e;
+    const PIN_WEATHER_SWEEP: u64 = 0x411a_e53c_5f3b_35a0;
+    const PIN_GRIDS_INSIDE: u64 = 0x7ff5_5825_f304_5cb5;
+    const PIN_GRID_OUTSIDE: u64 = 0x5ca5_d9e2_bdf5_16e7;
+
     fn small_system() -> SystemConfig {
         let mut cfg = SystemConfig::frontier();
         cfg.partitions[0].nodes = 1024;
         cfg.cooling.num_cdus = 3;
         cfg.cooling.racks_per_cdu = 3;
         cfg
+    }
+
+    /// FNV-1a-64 over the little-endian bytes of every value's `to_bits`:
+    /// the pin that holds a study's returned numbers to the bit.
+    fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Every number of a delivery study, variant by variant.
+    fn delivery_numbers(study: &PowerDeliveryStudy) -> Vec<f64> {
+        let mut v = Vec::new();
+        for o in &study.outcomes {
+            let r = &o.report;
+            v.extend([
+                o.delivery as u8 as f64,
+                r.sim_seconds as f64,
+                r.jobs_completed as f64,
+                r.jobs_unfinished as f64,
+                r.throughput_jobs_per_hour,
+                r.avg_power_mw,
+                r.max_power_mw,
+                r.total_energy_mwh,
+                r.avg_loss_mw,
+                r.max_loss_mw,
+                r.loss_percent,
+                r.efficiency,
+                r.co2_tons,
+                r.cost_usd,
+                r.avg_utilization,
+                r.avg_pue.unwrap_or(f64::NAN),
+                r.avg_wait_s,
+            ]);
+        }
+        v
+    }
+
+    /// Every number of a what-if grid, extrapolation flags included.
+    fn grid_numbers(grid: &WhatIfGrid) -> Vec<f64> {
+        let mut v: Vec<f64> = grid
+            .points
+            .iter()
+            .flat_map(|p| {
+                [p.load_fraction, p.wet_bulb_c, p.pue, p.cooling_power_w, p.extrapolated as u8 as f64]
+            })
+            .collect();
+        v.push(grid.extrapolations as f64);
+        v
+    }
+
+    /// Every number of a set of training samples.
+    fn sample_numbers(samples: &[crate::surrogate::Sample]) -> Vec<f64> {
+        samples
+            .iter()
+            .flat_map(|s| [s.load_fraction, s.wet_bulb_c, s.pue, s.cooling_power_w])
+            .collect()
     }
 
     #[test]
@@ -596,6 +666,8 @@ mod tests {
         );
         let jobs = generator.generate_day(0);
         let study = PowerDeliveryStudy::run(&cfg, &jobs, 3 * 3600, Policy::FirstFit);
+        let pin = fnv_bits(delivery_numbers(&study));
+        assert_eq!(pin, PIN_DELIVERY, "delivery study moved: {pin:#018x}");
         let base = study.outcome(PowerDelivery::StandardAC).report.avg_loss_mw;
         let smart = study.outcome(PowerDelivery::SmartRectifiers).report.avg_loss_mw;
         let dc = study.outcome(PowerDelivery::Direct380Vdc).report.avg_loss_mw;
@@ -637,6 +709,17 @@ mod tests {
         let sweep =
             setpoint_sweep(&spec, &[20.0, 24.0, 28.0], 0.6, 16.0).expect("sweep runs");
         assert_eq!(sweep.candidates.len(), 3);
+        // Candidates come back in sweep order at any pool width.
+        let order: Vec<f64> = sweep.candidates.iter().map(|c| c.basin_setpoint_c).collect();
+        assert_eq!(order, [20.0, 24.0, 28.0]);
+        let mut numbers: Vec<f64> = sweep
+            .candidates
+            .iter()
+            .flat_map(|c| [c.basin_setpoint_c, c.pue, c.cooling_power_w, c.htws_temp_c])
+            .collect();
+        numbers.push(sweep.best as f64);
+        let pin = fnv_bits(numbers);
+        assert_eq!(pin, PIN_SETPOINT_SWEEP, "setpoint sweep moved: {pin:#018x}");
         let best = &sweep.candidates[sweep.best];
         for c in &sweep.candidates {
             assert!(best.pue <= c.pue + 1e-12);
@@ -649,6 +732,12 @@ mod tests {
         let spec = exadigit_cooling::PlantSpec::marconi100_like();
         let points = weather_sweep(&spec, &[8.0, 16.0, 24.0], 0.6).expect("sweep runs");
         assert_eq!(points.len(), 3);
+        let pin = fnv_bits(
+            points
+                .iter()
+                .flat_map(|p| [p.wet_bulb_c, p.secondary_supply_c, p.pue, p.cooling_power_w]),
+        );
+        assert_eq!(pin, PIN_WEATHER_SWEEP, "weather sweep moved: {pin:#018x}");
         // Hotter weather cannot cool the coolant: supply temperature and
         // cooling effort are non-decreasing in wet-bulb.
         assert!(points[2].secondary_supply_c >= points[0].secondary_supply_c - 0.5);
@@ -675,6 +764,10 @@ mod tests {
         let wbs = [12.0, 16.0];
         let l3 = whatif_grid(&spec, &Fidelity::Surrogate(sur), &loads, &wbs).unwrap();
         let l4 = whatif_grid(&spec, &Fidelity::Plant, &loads, &wbs).unwrap();
+        let pin = fnv_bits(
+            sample_numbers(&samples).into_iter().chain(grid_numbers(&l3)).chain(grid_numbers(&l4)),
+        );
+        assert_eq!(pin, PIN_GRIDS_INSIDE, "training samples or grids moved: {pin:#018x}");
         assert_eq!(l3.points.len(), 4);
         assert_eq!(l3.extrapolations, 0, "interior points must not extrapolate");
         for (a, b) in l3.points.iter().zip(&l4.points) {
@@ -698,6 +791,8 @@ mod tests {
         let sur = crate::surrogate::Surrogate::fit(&samples).unwrap();
         let grid =
             whatif_grid(&spec, &Fidelity::Surrogate(sur), &[0.6, 1.4], &[18.0, 35.0]).unwrap();
+        let pin = fnv_bits(sample_numbers(&samples).into_iter().chain(grid_numbers(&grid)));
+        assert_eq!(pin, PIN_GRID_OUTSIDE, "training samples or grid moved: {pin:#018x}");
         // (0.6, 18) is interior; (0.6, 35), (1.4, 18), (1.4, 35) are not.
         assert_eq!(grid.extrapolations, 3);
         assert!(!grid.points[0].extrapolated);

@@ -13,6 +13,21 @@ use exadigit_raps::uq::{run_ensemble_on, UqPerturbations, UqSummary};
 use exadigit_sim::EnsembleRunner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// FNV-1a-64 (see `fnv_bits`) of every number of the 64-draw summary.
+const PIN_UQ_SUMMARY: u64 = 0xe9d2_23cb_0cf0_1200;
+
+/// FNV-1a-64 over the little-endian bytes of every value's `to_bits`.
+fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
 fn tiny_system() -> SystemConfig {
     let mut cfg = SystemConfig::frontier();
     cfg.partitions[0].nodes = 256;
@@ -67,6 +82,22 @@ fn assert_bits_identical(seq: &UqSummary, par: &UqSummary, width: usize) {
 fn uq_64_draws_bit_identical_on_1_and_n_threads() {
     let seq = run_uq(1);
     assert_eq!(seq.members, 64);
+    let pin = fnv_bits(
+        [
+            seq.members as f64,
+            seq.power_mean_mw,
+            seq.power_std_mw,
+            seq.power_ci90_mw.0,
+            seq.power_ci90_mw.1,
+            seq.loss_mean_mw,
+            seq.loss_std_mw,
+            seq.loss_ci90_mw.0,
+            seq.loss_ci90_mw.1,
+        ]
+        .into_iter()
+        .chain(seq.raw.iter().flat_map(|m| [m.avg_power_mw, m.avg_loss_mw, m.energy_mwh])),
+    );
+    assert_eq!(pin, PIN_UQ_SUMMARY, "UQ summary moved: {pin:#018x}");
     for width in [2usize, 4, 8] {
         let par = run_uq(width);
         assert_bits_identical(&seq, &par, width);

@@ -11,10 +11,41 @@
 //!    L3 backend must track the L4 plant's PUE; outside it,
 //!    extrapolation must be detected and counted, never fatal.
 
-use exadigit_core::whatif::{whatif_grid, Fidelity};
+use exadigit_core::whatif::{whatif_grid, Fidelity, WhatIfGrid};
 use exadigit_core::{CoolingBackend, DigitalTwin, SurrogateSource, TwinConfig};
 use exadigit_raps::job::Job;
 use exadigit_telemetry::replay::CoolingTrace;
+
+/// FNV-1a-64 pins (see `fnv_bits`) of the training samples and the L3/L4
+/// grids of `l3_tracks_l4_inside_envelope_and_detects_extrapolation_outside`,
+/// and of the offline-settled reference of the online-trainer test.
+const PIN_SAMPLES_AND_GRIDS: u64 = 0xa603_cd3e_44bf_bd7b;
+const PIN_SETTLED_REFERENCE: u64 = 0x9fb1_2792_27b4_56b4;
+
+/// FNV-1a-64 over the little-endian bytes of every value's `to_bits`.
+fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Every number of a what-if grid, extrapolation flags included.
+fn grid_numbers(grid: &WhatIfGrid) -> Vec<f64> {
+    let mut v: Vec<f64> = grid
+        .points
+        .iter()
+        .flat_map(|p| {
+            [p.load_fraction, p.wet_bulb_c, p.pue, p.cooling_power_w, p.extrapolated as u8 as f64]
+        })
+        .collect();
+    v.push(grid.extrapolations as f64);
+    v
+}
 
 /// PUE every 15 s over the golden run, as `f64::to_bits`, captured from
 /// the pre-refactor `with_cooling: true` path.
@@ -163,6 +194,15 @@ fn l3_tracks_l4_inside_envelope_and_detects_extrapolation_outside() {
     let outside =
         whatif_grid(&spec, &Fidelity::Surrogate(sur), &[0.6, 1.3], &[14.0, 30.0]).unwrap();
     assert_eq!(outside.extrapolations, 3, "three of four points lie outside the envelope");
+    let pin = fnv_bits(
+        samples
+            .iter()
+            .flat_map(|s| [s.load_fraction, s.wet_bulb_c, s.pue, s.cooling_power_w])
+            .chain(grid_numbers(&l3))
+            .chain(grid_numbers(&l4))
+            .chain(grid_numbers(&outside)),
+    );
+    assert_eq!(pin, PIN_SAMPLES_AND_GRIDS, "training samples or grids moved: {pin:#018x}");
     assert!(outside.points.iter().all(|p| p.pue.is_finite()));
 }
 
@@ -256,6 +296,8 @@ fn online_trained_l3_agrees_with_l4_and_falls_back_across_the_staging_cliff() {
     // Golden reference: the offline settle protocol at the same point.
     let reference =
         generate_training_data(&spec, &[0.6], &[15.0], 400).unwrap()[0].pue;
+    let pin = fnv_bits([reference]);
+    assert_eq!(pin, PIN_SETTLED_REFERENCE, "settled reference moved: {pin:#018x}");
     let pue_vr = online.var_by_name("pue").unwrap().vr;
     let online_pue = online.get_real(pue_vr).unwrap();
     assert!(

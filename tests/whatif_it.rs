@@ -1,13 +1,69 @@
 //! What-if studies at Frontier scale — the §IV-3 experiments.
 
 use exadigit_core::whatif::{
-    blockage_experiment, CoolingExtensionStudy, PowerDeliveryStudy,
+    blockage_experiment, BlockageReport, CoolingExtensionStudy, PowerDeliveryStudy,
 };
 use exadigit_cooling::PlantSpec;
 use exadigit_raps::config::SystemConfig;
 use exadigit_raps::power::PowerDelivery;
 use exadigit_raps::scheduler::Policy;
 use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
+
+// FNV-1a-64 pins (see `fnv_bits`) of every number each study below
+// returns on these tests' inputs.
+const PIN_DC380_STUDY: u64 = 0x4e28_1bf9_16a0_35af;
+const PIN_SMART_STUDY: u64 = 0x69b2_2bf6_c71d_47d4;
+const PIN_EXTENSION: u64 = 0x3e93_3adc_baea_2fc4;
+const PIN_BLOCKAGE: u64 = 0xeec4_8b35_c5a3_fd0b;
+const PIN_CLEAN_PLANT: u64 = 0xae86_867f_e3be_f68b;
+
+/// FNV-1a-64 over the little-endian bytes of every value's `to_bits`.
+fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Every number of a delivery study, variant by variant.
+fn delivery_numbers(study: &PowerDeliveryStudy) -> Vec<f64> {
+    let mut v = Vec::new();
+    for o in &study.outcomes {
+        let r = &o.report;
+        v.extend([
+            o.delivery as u8 as f64,
+            r.sim_seconds as f64,
+            r.jobs_completed as f64,
+            r.jobs_unfinished as f64,
+            r.throughput_jobs_per_hour,
+            r.avg_power_mw,
+            r.max_power_mw,
+            r.total_energy_mwh,
+            r.avg_loss_mw,
+            r.max_loss_mw,
+            r.loss_percent,
+            r.efficiency,
+            r.co2_tons,
+            r.cost_usd,
+            r.avg_utilization,
+            r.avg_pue.unwrap_or(f64::NAN),
+            r.avg_wait_s,
+        ]);
+    }
+    v
+}
+
+/// Every number of a blockage report.
+fn blockage_numbers(report: &BlockageReport) -> Vec<f64> {
+    let mut v = report.flows_m3s.clone();
+    v.extend(report.flagged.iter().map(|&i| i as f64));
+    v.push(report.threshold);
+    v
+}
 
 #[test]
 fn dc380_study_reproduces_paper_shape() {
@@ -18,6 +74,8 @@ fn dc380_study_reproduces_paper_shape() {
     let jobs: Vec<_> =
         generator.generate_day(0).into_iter().filter(|j| j.submit_time_s < 7_200).collect();
     let study = PowerDeliveryStudy::run(&cfg, &jobs, 7_200, Policy::FirstFit);
+    let pin = fnv_bits(delivery_numbers(&study));
+    assert_eq!(pin, PIN_DC380_STUDY, "delivery study moved: {pin:#018x}");
 
     let eff_base = study.baseline().report.efficiency;
     let eff_dc = study.outcome(PowerDelivery::Direct380Vdc).report.efficiency;
@@ -46,6 +104,8 @@ fn smart_rectifiers_modest_but_positive() {
     let jobs: Vec<_> =
         generator.generate_day(0).into_iter().filter(|j| j.submit_time_s < 7_200).collect();
     let study = PowerDeliveryStudy::run(&cfg, &jobs, 7_200, Policy::FirstFit);
+    let pin = fnv_bits(delivery_numbers(&study));
+    assert_eq!(pin, PIN_SMART_STUDY, "delivery study moved: {pin:#018x}");
 
     let gain = study.efficiency_gain_points(PowerDelivery::SmartRectifiers);
     assert!(gain > 0.0, "smart rectifiers must help: {gain}");
@@ -66,6 +126,13 @@ fn cooling_extension_prototyping() {
     // §III-A use case: virtually extend the plant with a future secondary
     // system and evaluate the impact on the current one.
     let study = CoolingExtensionStudy::run(&PlantSpec::frontier(), 0.6, 6.0, 18.0).unwrap();
+    let pin = fnv_bits(
+        [study.baseline, study.extended]
+            .iter()
+            .flat_map(|c| [c.htws_temp_c, c.pue, c.cells_staged, c.cooling_power_w])
+            .chain([study.extension_w]),
+    );
+    assert_eq!(pin, PIN_EXTENSION, "extension study moved: {pin:#018x}");
     // More load: more cooling effort and (weakly) warmer supply.
     assert!(
         study.extended.cooling_power_w > study.baseline.cooling_power_w,
@@ -85,11 +152,15 @@ fn blockage_injection_detected() {
     // and require the detector to flag exactly them.
     let report =
         blockage_experiment(&PlantSpec::frontier(), &[4, 16], 5.0, 0.6).unwrap();
+    let pin = fnv_bits(blockage_numbers(&report));
+    assert_eq!(pin, PIN_BLOCKAGE, "blockage flows moved: {pin:#018x}");
     assert_eq!(report.flagged, vec![4, 16], "flows: {:?}", report.flows_m3s);
 }
 
 #[test]
 fn clean_plant_yields_no_blockage_flags() {
     let report = blockage_experiment(&PlantSpec::frontier(), &[], 2.0, 0.6).unwrap();
+    let pin = fnv_bits(blockage_numbers(&report));
+    assert_eq!(pin, PIN_CLEAN_PLANT, "blockage flows moved: {pin:#018x}");
     assert!(report.flagged.is_empty(), "false positives: {:?}", report.flagged);
 }
