@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exadigit_raps::config::SystemConfig;
 use exadigit_raps::job::Job;
-use exadigit_raps::uq::{run_ensemble_on, UqPerturbations};
+use exadigit_raps::uq::{run_ensemble, UqPerturbations};
 use exadigit_sim::EnsembleRunner;
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,7 +41,7 @@ fn bench_ensemble_throughput(c: &mut Criterion) {
                 let runner = EnsembleRunner::new(42).threads(width);
                 b.iter(|| {
                     let summary =
-                        run_ensemble_on(&runner, &cfg, &jobs, 1200, MEMBERS, &UqPerturbations::default());
+                        run_ensemble(&runner, &cfg, &jobs, 1200, MEMBERS, &UqPerturbations::default());
                     black_box(summary.power_mean_mw)
                 })
             },

@@ -14,6 +14,7 @@ use exadigit_raps::scheduler::Policy;
 use exadigit_raps::simulation::{CoolingCoupling, RapsSimulation};
 use exadigit_raps::uq::{run_ensemble, UqPerturbations};
 use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
+use exadigit_sim::EnsembleRunner;
 use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::Duration;
@@ -101,9 +102,11 @@ fn bench_uq_member(c: &mut Criterion) {
     cfg.partitions[0].nodes = 1_024;
     cfg.cooling.num_cdus = 3;
     let jobs = vec![exadigit_raps::job::Job::new(1, "load", 512, 900, 1, 0.7, 0.8)];
+    let runner = EnsembleRunner::new(3);
     group.bench_function("ensemble_8_members_1024_nodes", |b| {
         b.iter(|| {
-            black_box(run_ensemble(&cfg, &jobs, 900, 8, &UqPerturbations::default(), 3).power_mean_mw)
+            let uq = run_ensemble(&runner, &cfg, &jobs, 900, 8, &UqPerturbations::default());
+            black_box(uq.power_mean_mw)
         })
     });
     group.finish();

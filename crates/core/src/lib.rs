@@ -23,12 +23,11 @@
 //! (§V generalisation) whose [`CoolingBackend`] selects the cooling
 //! fidelity served across the FMI boundary — the L4 plant, the L3
 //! surrogate, an L2 telemetry replay, or none (see `docs/FIDELITY.md`),
-//! [`whatif`] hosts the §IV-3 experiments (smart
-//! load-sharing rectifiers, 380 V DC distribution, cooling-system
-//! extension, CDU blockage injection, thermal-throttle scans), and
-//! [`ensemble`] batches heterogeneous twin scenarios — UQ draws, what-if
-//! variants, plant-spec sweeps — across the thread-pool executor with
-//! bit-deterministic results at any pool width (see `docs/ENSEMBLES.md`).
+//! and [`whatif`] hosts the §IV-3 experiments (smart load-sharing
+//! rectifiers, 380 V DC distribution, cooling-system extension, CDU
+//! blockage injection, setpoint and weather sweeps, thermal-throttle
+//! scans); the batched studies give bit-identical results at any pool
+//! width (see `docs/ENSEMBLES.md`).
 //!
 //! ## Quickstart
 //!
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod ensemble;
 pub mod levels;
 pub mod online;
 pub mod surrogate;
@@ -57,7 +55,6 @@ pub mod whatif;
 
 pub use config::{CoolingBackend, SurrogateSource, TwinConfig};
 pub use online::{OnlineCoolingModel, OnlineSurrogateConfig};
-pub use ensemble::{EnsembleRunner, ScenarioOutcome, TwinScenario};
 pub use levels::TwinLevel;
 pub use surrogate::Surrogate;
 pub use twin::{DigitalTwin, SNAPSHOT_FORMAT_VERSION};

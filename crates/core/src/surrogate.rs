@@ -12,7 +12,8 @@
 //! and thus often do not extrapolate well" — [`Surrogate::in_domain`]
 //! exposes the training envelope so callers can detect extrapolation.
 
-use exadigit_cooling::{CoolingModel, PlantSpec};
+use crate::whatif::settle_plant;
+use exadigit_cooling::PlantSpec;
 use exadigit_network::linalg::Matrix;
 use exadigit_sim::fmi::{
     Causality, CoSimModel, FmiError, VarRef, VariableDescriptor, VariableRegistry,
@@ -124,7 +125,8 @@ impl Surrogate {
 }
 
 /// Generate training samples by settling the L4 plant on a (load ×
-/// wet-bulb) grid. `settle_steps` of 15 s each per point.
+/// wet-bulb) grid through the what-if studies' settle protocol,
+/// `settle_steps` of 15 s each per point.
 pub fn generate_training_data(
     spec: &PlantSpec,
     loads: &[f64],
@@ -134,26 +136,12 @@ pub fn generate_training_data(
     let mut out = Vec::with_capacity(loads.len() * wet_bulbs.len());
     for &load in loads {
         for &wb in wet_bulbs {
-            let mut model = CoolingModel::new(spec.clone())?;
-            model.setup(0.0);
-            let heat = spec.heat_per_cdu_w() * load;
-            for i in 0..spec.num_cdus {
-                model.set_real(VarRef(i as u32), heat).map_err(|e| e.to_string())?;
-            }
-            let wb_vr = model.var_by_name("wet_bulb").expect("registry").vr;
-            model.set_real(wb_vr, wb).map_err(|e| e.to_string())?;
-            let it_vr = model.var_by_name("it_power").expect("registry").vr;
-            model
-                .set_real(it_vr, heat * spec.num_cdus as f64 / 0.945)
-                .map_err(|e| e.to_string())?;
-            for k in 0..settle_steps {
-                model.do_step(k as f64 * 15.0, 15.0).map_err(|e| e.to_string())?;
-            }
+            let c = settle_plant(spec, spec.heat_per_cdu_w() * load, wb, settle_steps)?;
             out.push(Sample {
                 load_fraction: load,
                 wet_bulb_c: wb,
-                pue: model.output_by_name("pue").expect("output"),
-                cooling_power_w: model.output_by_name("cooling_power").expect("output"),
+                pue: c.pue,
+                cooling_power_w: c.cooling_power_w,
             });
         }
     }

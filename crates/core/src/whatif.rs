@@ -9,6 +9,10 @@
 //! CDU blockage injection/detection (water quality), and thermal-throttle
 //! prediction.
 //!
+//! Every steady-plant study — the setpoint and weather sweeps, the L4
+//! grid, the extension study and the surrogate's training data — settles
+//! the plant through one protocol and reads one [`PlantCondition`].
+//!
 //! Plant-condition sweeps are fidelity-selectable (see
 //! `docs/FIDELITY.md`): [`whatif_grid`] evaluates the same
 //! (load × wet-bulb) grid either by settling the L4 plant at every point
@@ -25,7 +29,7 @@ use exadigit_raps::scheduler::Policy;
 use exadigit_raps::simulation::RapsSimulation;
 use exadigit_raps::stats::RunReport;
 use exadigit_sim::ensemble::EnsembleRunner;
-use exadigit_sim::fmi::CoSimModel;
+use exadigit_sim::fmi::{CoSimModel, VarRef};
 use exadigit_thermo::coldplate::ColdPlate;
 use serde::{Deserialize, Serialize};
 
@@ -49,47 +53,21 @@ pub struct PowerDeliveryStudy {
     pub outcomes: Vec<DeliveryOutcome>,
 }
 
-/// Replay `jobs` for `horizon_s` under a single delivery variant — the
-/// scenario unit batched by [`PowerDeliveryStudy::run`] and
-/// [`crate::ensemble`] (power-only: conversion losses do not feed back
-/// into cooling).
-pub fn run_delivery_variant(
-    system: &SystemConfig,
-    jobs: &[Job],
-    horizon_s: u64,
-    policy: Policy,
-    delivery: PowerDelivery,
-) -> DeliveryOutcome {
-    let mut sim = RapsSimulation::new(system.clone(), delivery, policy, 60);
-    sim.submit_jobs(jobs.to_vec());
-    sim.run_until(horizon_s).expect("power-only run cannot fail");
-    DeliveryOutcome { delivery, report: sim.report() }
-}
-
 impl PowerDeliveryStudy {
     /// Replay `jobs` for `horizon_s` under each variant, batched across
-    /// the thread-pool executor at the process-default width.
+    /// the thread-pool executor at the process-default width (power-only:
+    /// conversion losses do not feed back into cooling).
     pub fn run(system: &SystemConfig, jobs: &[Job], horizon_s: u64, policy: Policy) -> Self {
-        Self::run_on(&EnsembleRunner::new(0), system, jobs, horizon_s, policy)
-    }
-
-    /// [`PowerDeliveryStudy::run`] on an explicit [`EnsembleRunner`]
-    /// (pool-width control; the study is deterministic, so the runner's
-    /// seed is irrelevant).
-    pub fn run_on(
-        runner: &EnsembleRunner,
-        system: &SystemConfig,
-        jobs: &[Job],
-        horizon_s: u64,
-        policy: Policy,
-    ) -> Self {
         let variants = vec![
             PowerDelivery::StandardAC,
             PowerDelivery::SmartRectifiers,
             PowerDelivery::Direct380Vdc,
         ];
-        let outcomes = runner.map(variants, |_ctx, delivery| {
-            run_delivery_variant(system, jobs, horizon_s, policy, delivery)
+        let outcomes = EnsembleRunner::new(0).map(variants, |_ctx, delivery| {
+            let mut sim = RapsSimulation::new(system.clone(), delivery, policy, 60);
+            sim.submit_jobs(jobs.to_vec());
+            sim.run_until(horizon_s).expect("power-only run cannot fail");
+            DeliveryOutcome { delivery, report: sim.report() }
         });
         PowerDeliveryStudy { outcomes }
     }
@@ -130,10 +108,11 @@ impl PowerDeliveryStudy {
 }
 
 // ---------------------------------------------------------------------
-// Cooling-extension study (virtual prototyping)
+// Steady plant condition (the one settle protocol)
 // ---------------------------------------------------------------------
 
-/// Plant condition summary for the extension study.
+/// Steady condition of a settled plant at one operating point — the one
+/// reading every steady-plant study takes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlantCondition {
     /// HTW supply temperature at the hall, °C.
@@ -144,7 +123,54 @@ pub struct PlantCondition {
     pub cells_staged: f64,
     /// Auxiliary cooling power (HTWP+CTWP+fans+CDU pumps), W.
     pub cooling_power_w: f64,
+    /// CDU 1 secondary supply temperature (what the GPUs see), °C.
+    pub secondary_supply_c: f64,
 }
+
+/// Settle steps (× 15 s) of the setpoint and weather sweeps and the L4
+/// grid; a surrogate trained with the same count matches the L4 grid's
+/// settling transient.
+const SWEEP_SETTLE_STEPS: usize = 400;
+
+/// Build a plant from `spec`, apply `heat_per_cdu_w` to every CDU at the
+/// given wet-bulb with the matching IT power (`heat·n/0.945`), step it
+/// `steps` × 15 s, and read off the steady condition. Every steady-plant
+/// study settles through here; [`blockage_experiment`] (no wet-bulb or
+/// IT power) and `CoolingModel::settle` (the online fallback's clamped
+/// protocol) keep their own forms.
+pub(crate) fn settle_plant(
+    spec: &PlantSpec,
+    heat_per_cdu_w: f64,
+    wet_bulb_c: f64,
+    steps: usize,
+) -> Result<PlantCondition, String> {
+    let mut model = CoolingModel::new(spec.clone())?;
+    model.setup(0.0);
+    for i in 0..spec.num_cdus {
+        model.set_real(VarRef(i as u32), heat_per_cdu_w).map_err(|e| e.to_string())?;
+    }
+    let wb_vr = model.var_by_name("wet_bulb").expect("registry").vr;
+    model.set_real(wb_vr, wet_bulb_c).map_err(|e| e.to_string())?;
+    let it_vr = model.var_by_name("it_power").expect("registry").vr;
+    model
+        .set_real(it_vr, heat_per_cdu_w * spec.num_cdus as f64 / 0.945)
+        .map_err(|e| e.to_string())?;
+    for k in 0..steps {
+        model.do_step(k as f64 * 15.0, 15.0).map_err(|e| e.to_string())?;
+    }
+    let read = |name: &str| model.output_by_name(name).expect("registry output");
+    Ok(PlantCondition {
+        htws_temp_c: read("facility.htw_supply_temp"),
+        pue: read("pue"),
+        cells_staged: read("ct.num_cells_staged"),
+        cooling_power_w: read("cooling_power"),
+        secondary_supply_c: read("cdu[1].secondary_supply_temp"),
+    })
+}
+
+// ---------------------------------------------------------------------
+// Cooling-extension study (virtual prototyping)
+// ---------------------------------------------------------------------
 
 /// Virtual prototyping: impact of attaching a future secondary system's
 /// heat load onto the existing CEP (§III-A use case).
@@ -159,39 +185,19 @@ pub struct CoolingExtensionStudy {
 }
 
 impl CoolingExtensionStudy {
-    /// Settle the plant at `base_load_fraction` of design heat, then with
-    /// `extension_mw` of additional load spread across the CDUs, and
-    /// compare the steady conditions at the given wet-bulb.
+    /// Settle the plant (600 × 15 s) at `base_load_fraction` of design
+    /// heat, then with `extension_mw` of additional load spread across the
+    /// CDUs, and compare the steady conditions at the given wet-bulb.
     pub fn run(
         spec: &PlantSpec,
         base_load_fraction: f64,
         extension_mw: f64,
         wet_bulb_c: f64,
     ) -> Result<Self, String> {
-        let settle = |extra_w: f64| -> Result<PlantCondition, String> {
-            let mut model = CoolingModel::new(spec.clone())?;
-            model.setup(0.0);
+        let settle = |extra_w: f64| {
             let heat =
                 spec.heat_per_cdu_w() * base_load_fraction + extra_w / spec.num_cdus as f64;
-            let it_power = heat * spec.num_cdus as f64 / 0.945;
-            for i in 0..spec.num_cdus {
-                model
-                    .set_real(exadigit_sim::fmi::VarRef(i as u32), heat)
-                    .map_err(|e| e.to_string())?;
-            }
-            let wb_vr = model.var_by_name("wet_bulb").expect("registry").vr;
-            model.set_real(wb_vr, wet_bulb_c).map_err(|e| e.to_string())?;
-            let it_vr = model.var_by_name("it_power").expect("registry").vr;
-            model.set_real(it_vr, it_power).map_err(|e| e.to_string())?;
-            for k in 0..600 {
-                model.do_step(k as f64 * 15.0, 15.0).map_err(|e| e.to_string())?;
-            }
-            Ok(PlantCondition {
-                htws_temp_c: model.output_by_name("facility.htw_supply_temp").unwrap(),
-                pue: model.output_by_name("pue").unwrap(),
-                cells_staged: model.output_by_name("ct.num_cells_staged").unwrap(),
-                cooling_power_w: model.output_by_name("cooling_power").unwrap(),
-            })
+            settle_plant(spec, heat, wet_bulb_c, 600)
         };
         Ok(CoolingExtensionStudy {
             baseline: settle(0.0)?,
@@ -244,9 +250,7 @@ pub fn blockage_experiment(
     model.setup(0.0);
     let heat = spec.heat_per_cdu_w() * load_fraction;
     for i in 0..spec.num_cdus {
-        model
-            .set_real(exadigit_sim::fmi::VarRef(i as u32), heat)
-            .map_err(|e| e.to_string())?;
+        model.set_real(VarRef(i as u32), heat).map_err(|e| e.to_string())?;
     }
     for &cdu in blocked_cdus {
         let vr = model
@@ -268,76 +272,13 @@ pub fn blockage_experiment(
 // Setpoint optimization (L5 precursor)
 // ---------------------------------------------------------------------
 
-/// One evaluated setpoint candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SetpointCandidate {
-    /// Tower basin temperature setpoint, °C.
-    pub basin_setpoint_c: f64,
-    /// Resulting PUE.
-    pub pue: f64,
-    /// Resulting cooling auxiliary power, W.
-    pub cooling_power_w: f64,
-    /// HTW supply temperature reaching the hall, °C.
-    pub htws_temp_c: f64,
-}
-
 /// Result of a basin-setpoint sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SetpointSweep {
-    /// All candidates in sweep order.
-    pub candidates: Vec<SetpointCandidate>,
+    /// `(basin setpoint °C, settled condition)` pairs in sweep order.
+    pub candidates: Vec<(f64, PlantCondition)>,
     /// Index of the PUE-minimising candidate.
     pub best: usize,
-}
-
-/// Build `model_spec`, apply `heat_per_cdu_w` to every CDU at the given
-/// wet-bulb, and step the plant to steady state (400 × 15 s) — the
-/// settling protocol shared by [`settle_setpoint`] and
-/// [`settle_weather_point`].
-fn settle_plant(
-    model_spec: PlantSpec,
-    heat_per_cdu_w: f64,
-    wet_bulb_c: f64,
-) -> Result<CoolingModel, String> {
-    let num_cdus = model_spec.num_cdus;
-    let mut model = CoolingModel::new(model_spec)?;
-    model.setup(0.0);
-    for i in 0..num_cdus {
-        model
-            .set_real(exadigit_sim::fmi::VarRef(i as u32), heat_per_cdu_w)
-            .map_err(|e| e.to_string())?;
-    }
-    let wb_vr = model.var_by_name("wet_bulb").expect("registry").vr;
-    model.set_real(wb_vr, wet_bulb_c).map_err(|e| e.to_string())?;
-    let it_vr = model.var_by_name("it_power").expect("registry").vr;
-    model
-        .set_real(it_vr, heat_per_cdu_w * num_cdus as f64 / 0.945)
-        .map_err(|e| e.to_string())?;
-    for k in 0..400 {
-        model.do_step(k as f64 * 15.0, 15.0).map_err(|e| e.to_string())?;
-    }
-    Ok(model)
-}
-
-/// Settle the plant at one basin setpoint and read off the optimisation
-/// objectives — the scenario unit batched by [`setpoint_sweep`] and
-/// [`crate::ensemble`].
-pub fn settle_setpoint(
-    spec: &PlantSpec,
-    setpoint_c: f64,
-    load_fraction: f64,
-    wet_bulb_c: f64,
-) -> Result<SetpointCandidate, String> {
-    let mut candidate_spec = spec.clone();
-    candidate_spec.towers.basin_setpoint_c = setpoint_c;
-    let model =
-        settle_plant(candidate_spec, spec.heat_per_cdu_w() * load_fraction, wet_bulb_c)?;
-    Ok(SetpointCandidate {
-        basin_setpoint_c: setpoint_c,
-        pue: model.output_by_name("pue").expect("output"),
-        cooling_power_w: model.output_by_name("cooling_power").expect("output"),
-        htws_temp_c: model.output_by_name("facility.htw_supply_temp").expect("output"),
-    })
 }
 
 /// Sweep the tower basin setpoint and pick the PUE optimum — the
@@ -351,14 +292,16 @@ pub fn setpoint_sweep(
     load_fraction: f64,
     wet_bulb_c: f64,
 ) -> Result<SetpointSweep, String> {
-    let candidates: Vec<SetpointCandidate> = EnsembleRunner::new(0)
-        .try_map(setpoints_c.to_vec(), |_ctx, sp| {
-            settle_setpoint(spec, sp, load_fraction, wet_bulb_c)
-        })?;
+    let heat = spec.heat_per_cdu_w() * load_fraction;
+    let candidates = EnsembleRunner::new(0).try_map(setpoints_c.to_vec(), |_ctx, sp| {
+        let mut candidate = spec.clone();
+        candidate.towers.basin_setpoint_c = sp;
+        settle_plant(&candidate, heat, wet_bulb_c, SWEEP_SETTLE_STEPS).map(|c| (sp, c))
+    })?;
     let best = candidates
         .iter()
         .enumerate()
-        .min_by(|a, b| a.1.pue.partial_cmp(&b.1.pue).expect("finite PUE"))
+        .min_by(|a, b| a.1 .1.pue.partial_cmp(&b.1 .1.pue).expect("finite PUE"))
         .map(|(i, _)| i)
         .ok_or("empty sweep")?;
     Ok(SetpointSweep { candidates, best })
@@ -368,47 +311,19 @@ pub fn setpoint_sweep(
 // Weather-correlation study
 // ---------------------------------------------------------------------
 
-/// One point of the weather sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WeatherPoint {
-    /// Wet-bulb temperature, °C.
-    pub wet_bulb_c: f64,
-    /// CDU secondary supply temperature (what the GPUs see), °C.
-    pub secondary_supply_c: f64,
-    /// PUE.
-    pub pue: f64,
-    /// Tower fan + pump auxiliary power, W.
-    pub cooling_power_w: f64,
-}
-
-/// Settle the plant at one wet-bulb temperature — the scenario unit
-/// batched by [`weather_sweep`].
-pub fn settle_weather_point(
-    spec: &PlantSpec,
-    wet_bulb_c: f64,
-    load_fraction: f64,
-) -> Result<WeatherPoint, String> {
-    let model = settle_plant(spec.clone(), spec.heat_per_cdu_w() * load_fraction, wet_bulb_c)?;
-    Ok(WeatherPoint {
-        wet_bulb_c,
-        secondary_supply_c: model
-            .output_by_name("cdu[1].secondary_supply_temp")
-            .expect("output"),
-        pue: model.output_by_name("pue").expect("output"),
-        cooling_power_w: model.output_by_name("cooling_power").expect("output"),
-    })
-}
-
 /// Sweep the wet-bulb temperature at constant load — "understanding how
 /// weather correlates to GPU temperatures on the system" (§III-A).
-/// Points are batched across the thread-pool executor.
+/// Points come back as `(wet-bulb °C, settled condition)` pairs in sweep
+/// order, batched across the thread-pool executor.
 pub fn weather_sweep(
     spec: &PlantSpec,
     wet_bulbs_c: &[f64],
     load_fraction: f64,
-) -> Result<Vec<WeatherPoint>, String> {
-    EnsembleRunner::new(0)
-        .try_map(wet_bulbs_c.to_vec(), |_ctx, wb| settle_weather_point(spec, wb, load_fraction))
+) -> Result<Vec<(f64, PlantCondition)>, String> {
+    let heat = spec.heat_per_cdu_w() * load_fraction;
+    EnsembleRunner::new(0).try_map(wet_bulbs_c.to_vec(), |_ctx, wb| {
+        settle_plant(spec, heat, wb, SWEEP_SETTLE_STEPS).map(|c| (wb, c))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -466,8 +381,9 @@ pub struct WhatIfGrid {
     pub extrapolations: usize,
 }
 
-/// Evaluate one grid point at the chosen fidelity — the scenario unit
-/// batched by [`whatif_grid`] and [`crate::ensemble`]'s `GridPoint`.
+/// Evaluate one grid point at the chosen fidelity — the unit
+/// [`whatif_grid`] batches, and the one to map over when a batch mixes
+/// fidelities (`docs/ENSEMBLES.md`).
 pub fn evaluate_grid_point(
     spec: &PlantSpec,
     fidelity: &Fidelity,
@@ -476,13 +392,13 @@ pub fn evaluate_grid_point(
 ) -> Result<GridOutcome, String> {
     match fidelity {
         Fidelity::Plant => {
-            let model =
-                settle_plant(spec.clone(), spec.heat_per_cdu_w() * load_fraction, wet_bulb_c)?;
+            let heat = spec.heat_per_cdu_w() * load_fraction;
+            let c = settle_plant(spec, heat, wet_bulb_c, SWEEP_SETTLE_STEPS)?;
             Ok(GridOutcome {
                 load_fraction,
                 wet_bulb_c,
-                pue: model.output_by_name("pue").expect("output"),
-                cooling_power_w: model.output_by_name("cooling_power").expect("output"),
+                pue: c.pue,
+                cooling_power_w: c.cooling_power_w,
                 extrapolated: false,
             })
         }
@@ -504,26 +420,13 @@ pub fn whatif_grid(
     loads: &[f64],
     wet_bulbs: &[f64],
 ) -> Result<WhatIfGrid, String> {
-    whatif_grid_on(&EnsembleRunner::new(0), spec, fidelity, loads, wet_bulbs)
-}
-
-/// [`whatif_grid`] on an explicit [`EnsembleRunner`] (pool-width
-/// control; grid evaluation is deterministic, so the runner's seed is
-/// irrelevant).
-pub fn whatif_grid_on(
-    runner: &EnsembleRunner,
-    spec: &PlantSpec,
-    fidelity: &Fidelity,
-    loads: &[f64],
-    wet_bulbs: &[f64],
-) -> Result<WhatIfGrid, String> {
     let mut cells = Vec::with_capacity(loads.len() * wet_bulbs.len());
     for &l in loads {
         for &w in wet_bulbs {
             cells.push((l, w));
         }
     }
-    let points = runner
+    let points = EnsembleRunner::new(0)
         .try_map(cells, |_ctx, (l, w)| evaluate_grid_point(spec, fidelity, l, w))?;
     let extrapolations = points.iter().filter(|p| p.extrapolated).count();
     Ok(WhatIfGrid { points, extrapolations })
@@ -710,18 +613,18 @@ mod tests {
             setpoint_sweep(&spec, &[20.0, 24.0, 28.0], 0.6, 16.0).expect("sweep runs");
         assert_eq!(sweep.candidates.len(), 3);
         // Candidates come back in sweep order at any pool width.
-        let order: Vec<f64> = sweep.candidates.iter().map(|c| c.basin_setpoint_c).collect();
+        let order: Vec<f64> = sweep.candidates.iter().map(|(sp, _)| *sp).collect();
         assert_eq!(order, [20.0, 24.0, 28.0]);
         let mut numbers: Vec<f64> = sweep
             .candidates
             .iter()
-            .flat_map(|c| [c.basin_setpoint_c, c.pue, c.cooling_power_w, c.htws_temp_c])
+            .flat_map(|(sp, c)| [*sp, c.pue, c.cooling_power_w, c.htws_temp_c])
             .collect();
         numbers.push(sweep.best as f64);
         let pin = fnv_bits(numbers);
         assert_eq!(pin, PIN_SETPOINT_SWEEP, "setpoint sweep moved: {pin:#018x}");
-        let best = &sweep.candidates[sweep.best];
-        for c in &sweep.candidates {
+        let best = &sweep.candidates[sweep.best].1;
+        for (_, c) in &sweep.candidates {
             assert!(best.pue <= c.pue + 1e-12);
             assert!((0.9..1.4).contains(&c.pue), "pue {}", c.pue);
         }
@@ -735,13 +638,14 @@ mod tests {
         let pin = fnv_bits(
             points
                 .iter()
-                .flat_map(|p| [p.wet_bulb_c, p.secondary_supply_c, p.pue, p.cooling_power_w]),
+                .flat_map(|(wb, c)| [*wb, c.secondary_supply_c, c.pue, c.cooling_power_w]),
         );
         assert_eq!(pin, PIN_WEATHER_SWEEP, "weather sweep moved: {pin:#018x}");
         // Hotter weather cannot cool the coolant: supply temperature and
         // cooling effort are non-decreasing in wet-bulb.
-        assert!(points[2].secondary_supply_c >= points[0].secondary_supply_c - 0.5);
-        assert!(points[2].cooling_power_w >= points[0].cooling_power_w * 0.95);
+        let (cool, hot) = (&points[0].1, &points[2].1);
+        assert!(hot.secondary_supply_c >= cool.secondary_supply_c - 0.5);
+        assert!(hot.cooling_power_w >= cool.cooling_power_w * 0.95);
     }
 
     #[test]
@@ -798,6 +702,33 @@ mod tests {
         assert!(!grid.points[0].extrapolated);
         assert!(grid.points[1].extrapolated);
         assert_eq!(Fidelity::Plant.label(), "L4");
+    }
+
+    #[test]
+    fn mixed_fidelity_grid_batch_in_one_pool_pass() {
+        // The same operating point at L3 and L4 in one pool pass, mapped
+        // through `evaluate_grid_point` — how a batch mixes fidelities.
+        let spec = exadigit_cooling::PlantSpec::marconi100_like();
+        let samples = crate::surrogate::generate_training_data(
+            &spec,
+            &[0.3, 0.6, 0.9],
+            &[10.0, 14.0, 18.0],
+            400, // match the grid's L4 settle protocol
+        )
+        .unwrap();
+        let l3 = Fidelity::Surrogate(crate::surrogate::Surrogate::fit(&samples).unwrap());
+        let points = vec![(&l3, 0.6, 14.0), (&Fidelity::Plant, 0.6, 14.0), (&l3, 1.5, 18.0)];
+        let outcomes = EnsembleRunner::new(3)
+            .threads(2)
+            .try_map(points, |_ctx, (fidelity, load, wb)| {
+                evaluate_grid_point(&spec, fidelity, load, wb)
+            })
+            .unwrap();
+        let (l3, l4, extrap) = (outcomes[0], outcomes[1], outcomes[2]);
+        assert!(!l3.extrapolated);
+        assert!(!l4.extrapolated);
+        assert!((l3.pue - l4.pue).abs() < 0.05, "L3 {} vs L4 {}", l3.pue, l4.pue);
+        assert!(extrap.extrapolated, "out-of-envelope point must be flagged");
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! efficiencies and the component power ratings of Table I; this module
 //! perturbs them over an ensemble, replays the same workload, and reports
 //! confidence bands on the headline outputs.
+//!
+//! [`run_ensemble`] replays every member from t = 0 on the runner it is
+//! given (seed and pool width). The twin service's UQ draws start from a
+//! snapshot instead and share only [`perturb_config`] with this module.
 
 use crate::config::SystemConfig;
 use crate::job::Job;
 use crate::power::PowerDelivery;
 use crate::scheduler::Policy;
 use crate::simulation::RapsSimulation;
-use exadigit_sim::ensemble::{EnsembleRunner, ScenarioCtx};
+use exadigit_sim::ensemble::EnsembleRunner;
 use exadigit_sim::stats::percentile;
 use exadigit_sim::Rng;
 use serde::{Deserialize, Serialize};
@@ -91,50 +95,13 @@ pub fn perturb_config(cfg: &SystemConfig, pert: &UqPerturbations, rng: &mut Rng)
     c
 }
 
-/// Run one perturbed ensemble member to completion: draw a perturbation
-/// from `ctx`'s private stream, replay `jobs` for `horizon_s` seconds, and
-/// report the headline outputs. This is the single-scenario unit that
-/// [`run_ensemble`] and `exadigit_core::ensemble` batch across the pool.
-pub fn run_member(
-    cfg: &SystemConfig,
-    jobs: &[Job],
-    horizon_s: u64,
-    pert: &UqPerturbations,
-    ctx: &mut ScenarioCtx,
-) -> EnsembleMember {
-    let member_cfg = perturb_config(cfg, pert, &mut ctx.rng);
-    let mut sim =
-        RapsSimulation::new(member_cfg, PowerDelivery::StandardAC, Policy::FirstFit, 60);
-    sim.submit_jobs(jobs.to_vec());
-    sim.run_until(horizon_s).expect("no cooling attached, cannot fail");
-    let r = sim.report();
-    EnsembleMember {
-        avg_power_mw: r.avg_power_mw,
-        avg_loss_mw: r.avg_loss_mw,
-        energy_mwh: r.total_energy_mwh,
-    }
-}
-
 /// Run a Monte-Carlo ensemble: `members` perturbed replicas replay the same
 /// `jobs` for `horizon_s` seconds, batched across the thread-pool executor
-/// (mirroring the paper's parallel replay on a Frontier node). Uses the
-/// process-default pool width; use [`run_ensemble_on`] to control it.
+/// (mirroring the paper's parallel replay on a Frontier node). The runner
+/// supplies the seed and the pool width: member `i` draws its perturbation
+/// from the runner's stream `i`, so output is bit-identical for every
+/// width (the percentile reductions fold members in index order).
 pub fn run_ensemble(
-    cfg: &SystemConfig,
-    jobs: &[Job],
-    horizon_s: u64,
-    members: usize,
-    pert: &UqPerturbations,
-    seed: u64,
-) -> UqSummary {
-    run_ensemble_on(&EnsembleRunner::new(seed), cfg, jobs, horizon_s, members, pert)
-}
-
-/// [`run_ensemble`] on an explicit [`EnsembleRunner`] — the runner supplies
-/// the seed and the pool width. Output is bit-identical for every width
-/// (per-member RNG streams are keyed by member index, and the percentile
-/// reductions fold members in index order).
-pub fn run_ensemble_on(
     runner: &EnsembleRunner,
     cfg: &SystemConfig,
     jobs: &[Job],
@@ -143,8 +110,19 @@ pub fn run_ensemble_on(
     pert: &UqPerturbations,
 ) -> UqSummary {
     assert!(members >= 2, "an ensemble needs at least two members");
-    let raw: Vec<EnsembleMember> =
-        runner.run_draws(members, |ctx| run_member(cfg, jobs, horizon_s, pert, ctx));
+    let raw: Vec<EnsembleMember> = runner.run_draws(members, |ctx| {
+        let member_cfg = perturb_config(cfg, pert, &mut ctx.rng);
+        let mut sim =
+            RapsSimulation::new(member_cfg, PowerDelivery::StandardAC, Policy::FirstFit, 60);
+        sim.submit_jobs(jobs.to_vec());
+        sim.run_until(horizon_s).expect("no cooling attached, cannot fail");
+        let r = sim.report();
+        EnsembleMember {
+            avg_power_mw: r.avg_power_mw,
+            avg_loss_mw: r.avg_loss_mw,
+            energy_mwh: r.total_energy_mwh,
+        }
+    });
 
     let powers: Vec<f64> = raw.iter().map(|m| m.avg_power_mw).collect();
     let losses: Vec<f64> = raw.iter().map(|m| m.avg_loss_mw).collect();
@@ -195,7 +173,8 @@ mod tests {
         let cfg = tiny_cfg();
         let jobs =
             vec![Job::new(1, "load", 128, 1800, 1, 0.8, 0.8)];
-        let s = run_ensemble(&cfg, &jobs, 1800, 8, &UqPerturbations::default(), 42);
+        let runner = EnsembleRunner::new(42);
+        let s = run_ensemble(&runner, &cfg, &jobs, 1800, 8, &UqPerturbations::default());
         assert_eq!(s.members, 8);
         assert!(s.power_std_mw > 0.0, "perturbations must spread the ensemble");
         assert!(s.power_ci90_mw.0 < s.power_mean_mw);
@@ -208,8 +187,9 @@ mod tests {
     fn ensemble_deterministic_for_seed() {
         let cfg = tiny_cfg();
         let jobs = vec![Job::new(1, "load", 64, 600, 1, 0.5, 0.5)];
-        let a = run_ensemble(&cfg, &jobs, 600, 4, &UqPerturbations::default(), 7);
-        let b = run_ensemble(&cfg, &jobs, 600, 4, &UqPerturbations::default(), 7);
+        let runner = EnsembleRunner::new(7);
+        let a = run_ensemble(&runner, &cfg, &jobs, 600, 4, &UqPerturbations::default());
+        let b = run_ensemble(&runner, &cfg, &jobs, 600, 4, &UqPerturbations::default());
         assert_eq!(a, b);
     }
 }

@@ -24,9 +24,10 @@
 //!   standard; we reproduce that architectural boundary with a Rust trait so
 //!   models remain swappable.
 //! * [`ensemble`] — the scenario-batch engine: [`ensemble::EnsembleRunner`]
-//!   fans N independent scenarios (UQ draws, what-if variants, sweeps)
+//!   maps N independent inputs (UQ draws, what-if variants, sweep points)
 //!   across the thread-pool executor with per-scenario RNG streams and
-//!   order-deterministic gathering (see `docs/ENSEMBLES.md`).
+//!   order-deterministic gathering; every study batches through it (see
+//!   `docs/ENSEMBLES.md`).
 //!
 //! Everything here is deliberately free of global state so that replays are
 //! reproducible: the same seed and configuration always produce bit-identical
@@ -45,7 +46,7 @@ pub mod series;
 pub mod stats;
 
 pub use clock::SimClock;
-pub use ensemble::{EnsembleRunner, Scenario, ScenarioCtx};
+pub use ensemble::{EnsembleRunner, ScenarioCtx};
 pub use events::{Event, EventKind, EventQueue};
 pub use fmi::{Causality, CoSimModel, FmiError, VarRef, VariableDescriptor, VariableRegistry};
 pub use rng::Rng;

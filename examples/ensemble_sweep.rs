@@ -12,7 +12,7 @@
 
 use exadigit_raps::config::SystemConfig;
 use exadigit_raps::job::Job;
-use exadigit_raps::uq::{run_ensemble_on, UqPerturbations};
+use exadigit_raps::uq::{run_ensemble, UqPerturbations};
 use exadigit_sim::EnsembleRunner;
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ fn main() {
 
     let t0 = Instant::now();
     let summary =
-        run_ensemble_on(&runner, &cfg, &jobs, 3_600, members, &UqPerturbations::default());
+        run_ensemble(&runner, &cfg, &jobs, 3_600, members, &UqPerturbations::default());
     let elapsed = t0.elapsed();
 
     println!(

@@ -9,7 +9,7 @@
 
 use exadigit_raps::config::SystemConfig;
 use exadigit_raps::job::Job;
-use exadigit_raps::uq::{run_ensemble_on, UqPerturbations, UqSummary};
+use exadigit_raps::uq::{run_ensemble, UqPerturbations, UqSummary};
 use exadigit_sim::EnsembleRunner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -40,7 +40,7 @@ fn run_uq(threads: usize) -> UqSummary {
     let cfg = tiny_system();
     let jobs = vec![Job::new(1, "load", 128, 900, 1, 0.8, 0.8)];
     let runner = EnsembleRunner::new(2024).threads(threads);
-    run_ensemble_on(&runner, &cfg, &jobs, 900, 64, &UqPerturbations::default())
+    run_ensemble(&runner, &cfg, &jobs, 900, 64, &UqPerturbations::default())
 }
 
 /// Bit-compare two summaries field by field, so a failure names the first
