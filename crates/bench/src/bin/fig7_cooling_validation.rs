@@ -4,7 +4,7 @@
 //! channel specification and the **Fig. 5** station registry.
 //!
 //! ```sh
-//! cargo run --release -p exadigit-bench --bin fig7_cooling_validation -- --hours 24
+//! cargo run --release -p exadigit_bench --bin fig7_cooling_validation -- --hours 24
 //! ```
 
 use exadigit_bench::{arg_u64, section};

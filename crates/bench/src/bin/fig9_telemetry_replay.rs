@@ -5,7 +5,7 @@
 //! utilization.
 //!
 //! ```sh
-//! cargo run --release -p exadigit-bench --bin fig9_telemetry_replay -- --hours 24
+//! cargo run --release -p exadigit_bench --bin fig9_telemetry_replay -- --hours 24
 //! ```
 
 use exadigit_bench::{arg_u64, section};

@@ -13,7 +13,7 @@
 //! fast-model/slow-model split that makes large sweeps tractable.
 //!
 //! ```sh
-//! cargo run --release -p exadigit-bench --bin table4_daily_stats -- --days 183 --backend surrogate
+//! cargo run --release -p exadigit_bench --bin table4_daily_stats -- --days 183 --backend surrogate
 //! ```
 
 use exadigit_bench::{arg_str, arg_u64, section};

@@ -7,7 +7,7 @@
 //!   reducing the carbon footprint by 8.2 %".
 //!
 //! ```sh
-//! cargo run --release -p exadigit-bench --bin whatif_studies -- --days 7
+//! cargo run --release -p exadigit_bench --bin whatif_studies -- --days 7
 //! ```
 
 use exadigit_bench::{arg_u64, section};

@@ -301,7 +301,7 @@ pub fn setpoint_sweep(
     let best = candidates
         .iter()
         .enumerate()
-        .min_by(|a, b| a.1 .1.pue.partial_cmp(&b.1 .1.pue).expect("finite PUE"))
+        .min_by(|(_, (_, a)), (_, (_, b))| a.pue.partial_cmp(&b.pue).expect("finite PUE"))
         .map(|(i, _)| i)
         .ok_or("empty sweep")?;
     Ok(SetpointSweep { candidates, best })

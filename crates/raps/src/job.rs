@@ -4,6 +4,7 @@
 //! nodes required, (2) the wall time, and (3) CPU/GPU utilization traces
 //! for a given trace quanta" (set to 15 s to match telemetry).
 
+use crate::config::SystemConfig;
 use serde::{Deserialize, Serialize};
 
 /// Unique job identifier.
@@ -124,6 +125,51 @@ impl Job {
         }
     }
 
+    /// Check a job that arrived from outside the process against the
+    /// machine it will run on, before any kernel sees it: the partition
+    /// exists, 1 ≤ nodes ≤ its size, every utilization of the constant or
+    /// series traces is finite and in `[0, 1]`, a series quantum is at
+    /// least 1 s, and submit and wall times stay far enough below
+    /// `u64::MAX` that no time arithmetic on them can overflow.
+    pub fn validate(&self, cfg: &SystemConfig) -> Result<(), String> {
+        // 1,000 years: past any horizon, yet the kernel can add any two
+        // such times to its clock without overflow.
+        const MAX_TIME_S: u64 = 1_000 * 366 * 86_400;
+        let id = self.id.0;
+        let Some(partition) = cfg.partitions.get(self.partition) else {
+            return Err(format!(
+                "job {id}: partition {} does not exist (the machine has {})",
+                self.partition,
+                cfg.partitions.len()
+            ));
+        };
+        if self.nodes == 0 || self.nodes > partition.nodes {
+            return Err(format!(
+                "job {id}: {} nodes is outside 1..={} of partition {}",
+                self.nodes, partition.nodes, self.partition
+            ));
+        }
+        if self.submit_time_s > MAX_TIME_S || self.wall_time_s > MAX_TIME_S {
+            return Err(format!(
+                "job {id}: submit_time_s {} and wall_time_s {} must not exceed {MAX_TIME_S} s",
+                self.submit_time_s, self.wall_time_s
+            ));
+        }
+        for (name, trace) in [("cpu_util", &self.cpu_util), ("gpu_util", &self.gpu_util)] {
+            let values = match trace {
+                UtilTrace::Constant(u) => std::slice::from_ref(u),
+                UtilTrace::Series { quantum_s: 0, .. } => {
+                    return Err(format!("job {id}: {name} series quantum_s must be at least 1"));
+                }
+                UtilTrace::Series { values, .. } => values.as_slice(),
+            };
+            if let Some(u) = values.iter().find(|u| !(0.0..=1.0).contains(*u)) {
+                return Err(format!("job {id}: {name} utilization {u} is not in [0, 1]"));
+            }
+        }
+        Ok(())
+    }
+
     /// Seconds the job has been running at absolute time `now_s`
     /// (zero when not yet started).
     pub fn elapsed_at(&self, now_s: u64) -> u64 {
@@ -155,6 +201,29 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_checks_every_field_a_wire_job_sets() {
+        let cfg = SystemConfig::frontier();
+        let size = cfg.partitions[0].nodes;
+        let ok = Job::new(1, "ok", size, 3_600, 0, 0.5, 1.0);
+        assert_eq!(ok.validate(&cfg), Ok(()));
+        let series = |quantum_s, values| UtilTrace::Series { quantum_s, values };
+        let spoiled = [
+            ("partition", Job { partition: 99, ..ok.clone() }),
+            ("nodes", Job { nodes: 0, ..ok.clone() }),
+            ("nodes", Job { nodes: size + 1, ..ok.clone() }),
+            ("wall_time_s", Job { wall_time_s: u64::MAX, ..ok.clone() }),
+            ("submit_time_s", Job { submit_time_s: u64::MAX, ..ok.clone() }),
+            ("cpu_util", Job { cpu_util: UtilTrace::Constant(f32::NAN), ..ok.clone() }),
+            ("gpu_util", Job { gpu_util: series(15, vec![0.5, 1.5]), ..ok.clone() }),
+            ("quantum_s", Job { gpu_util: series(0, vec![0.5]), ..ok.clone() }),
+        ];
+        for (field, job) in spoiled {
+            let err = job.validate(&cfg).expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
 
     #[test]
     fn constant_trace_clamps() {

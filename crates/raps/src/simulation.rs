@@ -292,6 +292,18 @@ struct KernelState {
     total_nodes: usize,
 }
 
+impl KernelState {
+    /// The invariants the kernel assumes of a state it did not build
+    /// itself, checked once when a saved state is loaded rather than
+    /// asserted where they are used: a record cadence of at least 1 s.
+    fn validate(&self) -> Result<(), String> {
+        if self.record_every_s == 0 {
+            return Err("record_every_s must be at least 1".into());
+        }
+        Ok(())
+    }
+}
+
 /// Serialized cooling coupling, saved under the `cooling` key next to
 /// the kernel state: the model's opaque state (each backend
 /// deserializes its own type) plus the CDU count needed to re-resolve
@@ -1011,6 +1023,7 @@ impl RapsSimulation {
     ) -> Result<RapsSimulation, String> {
         let invalid = |e: serde::Error| format!("invalid simulation state: {e}");
         let state = <KernelState as serde::Deserialize>::from_value(value).map_err(invalid)?;
+        state.validate().map_err(|e| format!("invalid simulation state: {e}"))?;
         let cooling = value.get("cooling").unwrap_or(&serde::Value::Null);
         let cooling = match <Option<CoolingState> as serde::Deserialize>::from_value(cooling)
             .map_err(invalid)?

@@ -251,6 +251,9 @@ pub fn run_whatif(
 ) -> Result<WhatIfOutcome, String> {
     // Specs arrive over the wire: bound them before any work.
     spec.validate()?;
+    for job in &spec.extra_jobs {
+        job.validate(&snapshot.twin().config.system)?;
+    }
     let (from_s, to_s) = (snapshot.taken_at_s, snapshot.taken_at_s + spec.horizon_s);
     if spec.draws <= 1 {
         let run = run_fork(configured_fork(snapshot, spec)?, spec, None)?;

@@ -650,7 +650,7 @@ impl TwinService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exadigit_raps::job::Job;
+    use exadigit_raps::job::{Job, UtilTrace};
 
     fn service() -> TwinService {
         TwinService::new(
@@ -764,6 +764,59 @@ mod tests {
         }
         let Response::Status(s) = svc.handle(&Request::Status) else { panic!() };
         assert_eq!(s.cache_entries, 0, "a refused spec must not be cached");
+    }
+
+    /// A what-if whose one extra job is `job` must answer an `Error`
+    /// naming `field`, before any fork, and leave the cache empty.
+    fn assert_extra_job_refused(job: Job, field: &str) {
+        let svc = service();
+        svc.handle(&Request::Advance { seconds: 600 });
+        let Response::SnapshotTaken(info) =
+            svc.handle(&Request::Snapshot { label: "base".into() })
+        else {
+            panic!()
+        };
+        let spec = WhatIfSpec { horizon_s: 300, extra_jobs: vec![job], ..WhatIfSpec::default() };
+        let r = svc.handle(&Request::Query { snapshot_id: info.id, spec });
+        let Response::Error { message } = &r else { panic!("{field}: {r:?}") };
+        assert!(message.contains(field), "{message}");
+        let Response::Status(s) = svc.handle(&Request::Status) else { panic!() };
+        assert_eq!(s.cache_entries, 0, "a refused spec must not be cached");
+    }
+
+    fn probe_job() -> Job {
+        Job::new(9_001, "probe", 64, 600, 0, 0.5, 0.5)
+    }
+
+    #[test]
+    fn extra_job_on_a_missing_partition_is_an_error() {
+        // Unchecked, this panics in `NodePool::allocate`.
+        assert_extra_job_refused(Job { partition: 99, ..probe_job() }, "partition");
+    }
+
+    #[test]
+    fn extra_job_with_an_overflowing_wall_time_is_an_error() {
+        // Unchecked, `now + wall_time_s` overflows at the job's start.
+        assert_extra_job_refused(Job { wall_time_s: u64::MAX, ..probe_job() }, "wall_time_s");
+    }
+
+    #[test]
+    fn extra_job_with_a_null_utilization_from_the_wire_is_an_error() {
+        // The vendored JSON decodes `null` in a float field to NaN, which
+        // unchecked answers `null` MW.
+        let json = serde_json::to_string(&probe_job()).unwrap();
+        let util = r#""cpu_util":{"Constant":0.5}"#;
+        assert!(json.contains(util), "{json}");
+        let line = json.replace(util, r#""cpu_util":{"Constant":null}"#);
+        let job: Job = serde_json::from_str(&line).unwrap();
+        assert_extra_job_refused(job, "cpu_util");
+    }
+
+    #[test]
+    fn extra_job_with_a_zero_trace_quantum_is_an_error() {
+        // Unchecked, `UtilTrace::at` divides by zero.
+        let gpu_util = UtilTrace::Series { quantum_s: 0, values: vec![0.5; 4] };
+        assert_extra_job_refused(Job { gpu_util, ..probe_job() }, "quantum_s");
     }
 
     #[test]

@@ -215,6 +215,26 @@ fn save_load_mid_record_gap_matches_eager_kernel_bit_for_bit() {
     }
 }
 
+/// A snapshot file is untrusted input. Unchecked, a well-formed save
+/// whose record cadence is 0 loads cleanly and then divides by zero in
+/// the first run's record backfill, on whichever worker rehydrated it;
+/// the load itself must refuse it with a typed error.
+#[test]
+fn a_save_with_a_zero_record_cadence_is_refused_on_load() {
+    let mut twin = DigitalTwin::new(TwinConfig::frontier_power_only()).unwrap();
+    twin.run(600).unwrap();
+    let mut value = twin.save_state().unwrap();
+    let serde::Value::Object(fields) = &mut value else { panic!("a save is an object") };
+    let (_, sim) = fields.iter_mut().find(|(k, _)| k == "sim").expect("sim field");
+    let serde::Value::Object(sim) = sim else { panic!("sim is an object") };
+    let (_, every) = sim.iter_mut().find(|(k, _)| k == "record_every_s").expect("cadence");
+    *every = serde::Value::Number(serde::Number::U(0));
+    match DigitalTwin::from_state(&value) {
+        Ok(_) => panic!("a zero record cadence must be refused"),
+        Err(e) => assert!(e.contains("record_every_s"), "{e}"),
+    }
+}
+
 /// RNG streams must continue mid-sequence across the round trip — the
 /// xoshiro state *and* the Box–Muller spare, which is why the cache is
 /// part of the serialized state: dropping it would shift every
