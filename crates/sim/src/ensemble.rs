@@ -185,6 +185,30 @@ mod tests {
     }
 
     #[test]
+    fn run_sweep_gathers_setpoints_in_order() {
+        // A setpoint sweep batched the way the what-if sweeps batch theirs:
+        // each point relaxes toward its setpoint, earlier points doing more
+        // steps so they finish last on a 2-wide pool. Every result must come
+        // back at its sweep position, paired with its own setpoint.
+        let setpoints = [20.0, 24.0, 28.0, 32.0];
+        let settled: Result<Vec<(f64, f64)>, String> =
+            EnsembleRunner::new(0).threads(2).try_map(setpoints.to_vec(), |ctx, sp| {
+                let steps = 2_000 * (setpoints.len() - ctx.index);
+                let mut temp_c = 40.0;
+                for _ in 0..steps {
+                    temp_c += 0.01 * (sp - temp_c);
+                }
+                Ok((sp, temp_c))
+            });
+        let settled = settled.expect("sweep runs");
+        let order: Vec<f64> = settled.iter().map(|(sp, _)| *sp).collect();
+        assert_eq!(order, setpoints);
+        for (sp, temp_c) in &settled {
+            assert!((temp_c - sp).abs() < 1e-3, "setpoint {sp} settled at {temp_c}");
+        }
+    }
+
+    #[test]
     fn effective_threads_reports_pin() {
         assert_eq!(EnsembleRunner::new(0).threads(6).effective_threads(), 6);
         assert!(EnsembleRunner::new(0).effective_threads() >= 1);
