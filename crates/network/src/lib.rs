@@ -13,7 +13,7 @@
 //!   model treats pressure states);
 //! * the **differential part** — thermal storage in volumes and transport
 //!   delays — is integrated by the components themselves (exact exponential
-//!   updates) or by the general-purpose integrators in [`ode`];
+//!   updates);
 //! * [`linalg`] provides the small dense LU factorisation: the Newton
 //!   step factors its pressure block with it after eliminating the branch
 //!   flows, and checks itself against it on the whole Jacobian;
@@ -23,7 +23,6 @@
 
 pub mod hydraulic;
 pub mod linalg;
-pub mod ode;
 pub mod thermal;
 
 pub use hydraulic::{Branch, BranchElement, BranchId, HydraulicNetwork, NodeId, Solution, SolverError};

@@ -13,9 +13,10 @@
 //!   estimation from the bucket counts ([`HistogramSnapshot::quantile`]),
 //!   so p50/p99 cost nothing per sample.
 //! - [`Registry`] — names instruments, deduplicates registration by
-//!   `(name, labels)`, snapshots every value ([`Registry::samples`]),
-//!   and renders the Prometheus text exposition format
-//!   ([`Registry::render_prometheus`]).
+//!   `(name, labels)`, and snapshots every value ([`Registry::samples`]);
+//!   [`render_prometheus`] renders any sample list (the registry's, plus
+//!   whatever a caller derives at collection time) in the Prometheus
+//!   text exposition format.
 //! - [`TraceRing`] / [`SlowQueryLog`] — a bounded ring of structured
 //!   request-lifecycle events (admitted → executing → written with
 //!   per-stage timings) and a threshold-gated log of the slowest
@@ -42,7 +43,7 @@ mod trace;
 
 pub use http::HttpExporter;
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Sample,
-    LATENCY_BUCKETS_S,
+    render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
+    Sample, LATENCY_BUCKETS_S,
 };
 pub use trace::{SlowQuery, SlowQueryLog, Stage, TraceEvent, TraceRing};

@@ -376,70 +376,76 @@ impl Registry {
             .collect()
     }
 
-    /// Render every instrument in the Prometheus text exposition format
-    /// (version 0.0.4): one `# HELP` / `# TYPE` header per family,
-    /// cumulative `_bucket{le=...}` lines plus `_sum` / `_count` for
-    /// histograms. Families render in registration order, so output is
-    /// deterministic for a deterministically constructed registry.
+    /// Render every instrument in the Prometheus text exposition format;
+    /// see [`render_prometheus`].
     pub fn render_prometheus(&self) -> String {
-        let samples = self.samples();
-        let mut out = String::new();
-        let mut seen_header: Vec<String> = Vec::new();
-        for s in &samples {
-            let kind = match &s.value {
-                MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge(_) => "gauge",
-                MetricValue::Histogram(_) => "histogram",
-            };
-            if !seen_header.iter().any(|n| n == &s.name) {
-                out.push_str(&format!("# HELP {} {}\n# TYPE {} {}\n", s.name, s.help, s.name, kind));
-                seen_header.push(s.name.clone());
+        render_prometheus(&self.samples())
+    }
+}
+
+/// Render samples in the Prometheus text exposition format (version
+/// 0.0.4): one `# HELP` / `# TYPE` header per family, cumulative
+/// `_bucket{le=...}` lines plus `_sum` / `_count` for histograms.
+/// Families render in slice order, so output is deterministic for a
+/// deterministically built sample list ([`Registry::samples`] lists in
+/// registration order).
+pub fn render_prometheus(samples: &[Sample]) -> String {
+    let mut out = String::new();
+    let mut seen_header: Vec<String> = Vec::new();
+    for s in samples {
+        let kind = match &s.value {
+            MetricValue::Counter(_) => "counter",
+            MetricValue::Gauge(_) => "gauge",
+            MetricValue::Histogram(_) => "histogram",
+        };
+        if !seen_header.iter().any(|n| n == &s.name) {
+            out.push_str(&format!("# HELP {} {}\n# TYPE {} {}\n", s.name, s.help, s.name, kind));
+            seen_header.push(s.name.clone());
+        }
+        match &s.value {
+            MetricValue::Counter(v) => {
+                out.push_str(&format!("{}{} {}\n", s.name, render_labels(&s.labels, &[]), v));
             }
-            match &s.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("{}{} {}\n", s.name, render_labels(&s.labels, &[]), v));
-                }
-                MetricValue::Gauge(v) => {
+            MetricValue::Gauge(v) => {
+                out.push_str(&format!(
+                    "{}{} {}\n",
+                    s.name,
+                    render_labels(&s.labels, &[]),
+                    fmt_f64(*v)
+                ));
+            }
+            MetricValue::Histogram(h) => {
+                let mut cum = 0u64;
+                for (i, &n) in h.buckets.iter().enumerate() {
+                    cum += n;
+                    let le = if i < h.bounds.len() {
+                        fmt_f64(h.bounds[i])
+                    } else {
+                        "+Inf".to_string()
+                    };
                     out.push_str(&format!(
-                        "{}{} {}\n",
+                        "{}_bucket{} {}\n",
                         s.name,
-                        render_labels(&s.labels, &[]),
-                        fmt_f64(*v)
+                        render_labels(&s.labels, &[("le", &le)]),
+                        cum
                     ));
                 }
-                MetricValue::Histogram(h) => {
-                    let mut cum = 0u64;
-                    for (i, &n) in h.buckets.iter().enumerate() {
-                        cum += n;
-                        let le = if i < h.bounds.len() {
-                            fmt_f64(h.bounds[i])
-                        } else {
-                            "+Inf".to_string()
-                        };
-                        out.push_str(&format!(
-                            "{}_bucket{} {}\n",
-                            s.name,
-                            render_labels(&s.labels, &[("le", &le)]),
-                            cum
-                        ));
-                    }
-                    out.push_str(&format!(
-                        "{}_sum{} {}\n",
-                        s.name,
-                        render_labels(&s.labels, &[]),
-                        fmt_f64(h.sum)
-                    ));
-                    out.push_str(&format!(
-                        "{}_count{} {}\n",
-                        s.name,
-                        render_labels(&s.labels, &[]),
-                        h.count
-                    ));
-                }
+                out.push_str(&format!(
+                    "{}_sum{} {}\n",
+                    s.name,
+                    render_labels(&s.labels, &[]),
+                    fmt_f64(h.sum)
+                ));
+                out.push_str(&format!(
+                    "{}_count{} {}\n",
+                    s.name,
+                    render_labels(&s.labels, &[]),
+                    h.count
+                ));
             }
         }
-        out
     }
+    out
 }
 
 /// Format a label set (base labels plus extras like `le`), or the empty

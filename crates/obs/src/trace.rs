@@ -6,12 +6,11 @@
 //! stage it closes — overwriting the oldest on wraparound, so tracing
 //! cost is O(1) per event and memory is fixed no matter how long the
 //! server runs. The [`SlowQueryLog`] keeps the most recent requests
-//! whose total time crossed a configurable threshold, with the
+//! whose total time crossed a threshold fixed at construction, with the
 //! queue-wait/handle split needed to tell "the service is slow" from
 //! "the queue is deep".
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -132,11 +131,10 @@ pub struct SlowQuery {
     pub handle_us: u64,
 }
 
-/// A bounded log of the most recent requests slower than a configurable
-/// threshold.
+/// A bounded log of the most recent requests slower than a threshold.
 pub struct SlowQueryLog {
     entries: Mutex<VecDeque<SlowQuery>>,
-    threshold_us: AtomicU64,
+    threshold_us: u64,
     capacity: usize,
     epoch: Instant,
 }
@@ -147,21 +145,10 @@ impl SlowQueryLog {
     pub fn new(capacity: usize, threshold_us: u64) -> Self {
         SlowQueryLog {
             entries: Mutex::new(VecDeque::new()),
-            threshold_us: AtomicU64::new(threshold_us),
+            threshold_us,
             capacity: capacity.max(1),
             epoch: Instant::now(),
         }
-    }
-
-    /// The current threshold, microseconds.
-    pub fn threshold_us(&self) -> u64 {
-        self.threshold_us.load(Ordering::Relaxed)
-    }
-
-    /// Replace the threshold (runtime-tunable; takes effect on the next
-    /// record).
-    pub fn set_threshold_us(&self, threshold_us: u64) {
-        self.threshold_us.store(threshold_us, Ordering::Relaxed);
     }
 
     /// Record a finished request if it crossed the threshold. Returns
@@ -174,7 +161,7 @@ impl SlowQueryLog {
         queue_us: u64,
         handle_us: u64,
     ) -> bool {
-        if queue_us + handle_us < self.threshold_us() {
+        if queue_us + handle_us < self.threshold_us {
             return false;
         }
         let entry = SlowQuery {
@@ -257,15 +244,5 @@ mod tests {
         assert_eq!(entries[1].request, "Status");
         assert_eq!(entries[0].queue_us, 0);
         assert_eq!(entries[0].handle_us, 2_000);
-    }
-
-    #[test]
-    fn slow_log_threshold_is_runtime_tunable() {
-        let log = SlowQueryLog::new(4, u64::MAX);
-        assert!(!log.record("Query", || "never".into(), 1, 1));
-        log.set_threshold_us(0);
-        assert_eq!(log.threshold_us(), 0);
-        assert!(log.record("Query", || "always".into(), 0, 0));
-        assert_eq!(log.entries().len(), 1);
     }
 }

@@ -19,7 +19,8 @@
 //! are scheduled by a **bounded worker pool** (fixed reader set
 //! multiplexing the sockets, a depth-limited request queue with
 //! [`Response::Busy`] backpressure, per-connection in-flight caps —
-//! no thread-per-connection, see [`ServerConfig`]), fan out across the
+//! no thread-per-connection; [`TwinServer::with_workers`] and its
+//! sibling builders size it), fan out across the
 //! workspace thread pool (UQ draws and query batches in one pool
 //! pass), and are memoised in a size-aware LRU [`QueryCache`] keyed by
 //! `(snapshot id, scenario fingerprint)` — asking the same question of
@@ -76,7 +77,7 @@ mod snapshot;
 pub use cache::{outcome_bytes, scenario_fingerprint, QueryCache};
 pub use client::ServiceClient;
 pub use persist::{ManifestEntry, ManifestHeader, PersistError, MANIFEST_FORMAT_VERSION};
-pub use pool::{ServerConfig, ServerHandle, TwinServer};
+pub use pool::{ServerHandle, TwinServer};
 pub use protocol::{
     read_message, write_message, BatchOutcome, CounterSample, GaugeSample, HistogramSample,
     MetricsReport, Request, Response, ServerStatus, SlowQueryEntry, TraceEntry, MAX_LINE_BYTES,

@@ -8,15 +8,16 @@
 //! ([`crate::QueryCache`], [`crate::SnapshotStore`], the live twin via
 //! `DigitalTwin::set_kernel_metrics`, and the worker pool). Exposition
 //! (the `Metrics` verb and the Prometheus HTTP sidecar) reads the same
-//! registry, so the wire, the scraper, and `Status` can never disagree.
+//! registry.
 //!
-//! Cold-path gauges that mirror live-twin state (`now`, queue sizes,
-//! PUE, the online backend's fidelity counters, snapshot-store memory
-//! accounting) are refreshed from a [`crate::ServerStatus`] at
-//! collection time rather than instrumented inline: the fidelity
-//! counters are *model state* (serialized with the twin, asserted by
-//! round-trip tests), so the registry mirrors them instead of owning
-//! them.
+//! The live-state gauges (`now`, queue sizes, PUE, the online backend's
+//! fidelity counters, snapshot-store memory accounting) are not registry
+//! instruments. [`status_samples`] derives them from a
+//! [`crate::ServerStatus`] each time exposition collects, so the
+//! `Status` verb, the `Metrics` verb and `GET /metrics` read one source
+//! and agree by construction, whether observability is on or off. The
+//! fidelity counters are *model state*, serialized with the twin; the
+//! exposition reports them, it does not own them.
 //!
 //! Everything here is simulation-inert by construction: instruments
 //! absorb values and never feed a number back into simulation
@@ -28,10 +29,9 @@ use crate::cache::CacheMetrics;
 use crate::protocol::{Request, ServerStatus};
 use crate::snapshot::StoreMetrics;
 use exadigit_obs::{Registry, SlowQueryLog, TraceRing};
-use exadigit_obs::{Counter, Gauge, Histogram, LATENCY_BUCKETS_S};
+use exadigit_obs::{Counter, Gauge, Histogram, MetricValue, Sample, LATENCY_BUCKETS_S};
 use exadigit_raps::metrics::KernelMetrics;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Stable request-type names, indexed by [`request_kind`]. These are
 /// the `type` label values on `exadigit_requests_total` and
@@ -104,7 +104,7 @@ const SLOW_LOG_CAPACITY: usize = 32;
 pub(crate) struct ServiceObs {
     /// The single namespace exposition reads.
     pub registry: Registry,
-    /// Hot-path master switch (`TwinService::with_observability`). Off
+    /// Hot-path master switch (`TwinService::set_observability`). Off
     /// skips timestamping, tracing, and counting — the configuration the
     /// overhead bench compares against.
     enabled: AtomicBool,
@@ -128,6 +128,9 @@ pub(crate) struct ServiceObs {
     pub wakeups_wasted: Counter,
     /// Requests that crossed the slow-query threshold.
     pub slow_queries_total: Counter,
+    /// Requests whose handler panicked; the worker answered `Error` and
+    /// kept serving.
+    pub handler_panics_total: Counter,
     /// Query-cache handles (shared with [`crate::QueryCache`]).
     pub cache: CacheMetrics,
     /// Snapshot-store handles (shared with [`crate::SnapshotStore`]).
@@ -138,39 +141,6 @@ pub(crate) struct ServiceObs {
     pub trace: TraceRing,
     /// Threshold-gated slow-query log.
     pub slowlog: SlowQueryLog,
-    /// Cached handles for the status-mirroring gauges, so the Status
-    /// hot path pays one small lock + atomic stores instead of a
-    /// registry name lookup per gauge per call.
-    status_gauges: Mutex<StatusGauges>,
-}
-
-/// Lazily registered live-state gauge handles. All `Option`: the
-/// always-present set registers on the first mirror (exposition before
-/// any `Status` stays clean), the backend-dependent set on first
-/// appearance (a power-only twin never shows a misleading zero for a
-/// counter its backend does not have).
-#[derive(Default)]
-struct StatusGauges {
-    base: Option<BaseStatusGauges>,
-    pue: Option<Gauge>,
-    surrogate_extrapolations: Option<Gauge>,
-    online_l3_steps: Option<Gauge>,
-    online_l4_steps: Option<Gauge>,
-    online_fallback_steps: Option<Gauge>,
-    online_trusted_regimes: Option<Gauge>,
-}
-
-/// The gauges every twin has, registered together on the first mirror.
-struct BaseStatusGauges {
-    now_seconds: Gauge,
-    running_jobs: Gauge,
-    pending_jobs: Gauge,
-    jobs_ingested: Gauge,
-    snapshots: Gauge,
-    snapshots_resident: Gauge,
-    snapshots_spilled: Gauge,
-    snapshot_shared_bytes: Gauge,
-    snapshot_owned_bytes: Gauge,
 }
 
 impl ServiceObs {
@@ -228,6 +198,10 @@ impl ServiceObs {
         let slow_queries_total = registry.counter(
             "exadigit_slow_queries_total",
             "Requests slower than the slow-query threshold",
+        );
+        let handler_panics_total = registry.counter(
+            "exadigit_handler_panics_total",
+            "Requests whose handler panicked and were answered Error",
         );
         let cache = CacheMetrics {
             hits: registry.counter("exadigit_cache_hits_total", "Query-cache hits"),
@@ -291,12 +265,12 @@ impl ServiceObs {
             wakeups_productive,
             wakeups_wasted,
             slow_queries_total,
+            handler_panics_total,
             cache,
             store,
             kernel,
             trace: TraceRing::new(TRACE_CAPACITY),
             slowlog: SlowQueryLog::new(SLOW_LOG_CAPACITY, DEFAULT_SLOW_QUERY_US),
-            status_gauges: Mutex::new(StatusGauges::default()),
         }
     }
 
@@ -311,118 +285,71 @@ impl ServiceObs {
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
+}
 
-    /// Mirror a freshly assembled [`ServerStatus`] into the registry's
-    /// live-state gauges. Optional fields (PUE, fidelity counters)
-    /// register lazily on first appearance, so a power-only twin's
-    /// exposition never shows a misleading zero for a counter its
-    /// backend does not have. `fallback_steps` rides separately: the
-    /// exposition surfaces it, but `ServerStatus` keeps its frozen wire
-    /// shape.
-    pub fn set_status_gauges(&self, status: &ServerStatus, fallback_steps: Option<u64>) {
-        let mut cached = self.status_gauges.lock().unwrap();
-        let base = cached.base.get_or_insert_with(|| BaseStatusGauges {
-            now_seconds: self
-                .registry
-                .gauge("exadigit_live_now_seconds", "Live twin's simulated second"),
-            running_jobs: self
-                .registry
-                .gauge("exadigit_live_running_jobs", "Jobs running on the live twin"),
-            pending_jobs: self
-                .registry
-                .gauge("exadigit_live_pending_jobs", "Jobs queued on the live twin"),
-            jobs_ingested: self
-                .registry
-                .gauge("exadigit_jobs_ingested", "Jobs ingested from the telemetry feed"),
-            snapshots: self
-                .registry
-                .gauge("exadigit_snapshots", "Snapshots held across both tiers"),
-            snapshots_resident: self
-                .registry
-                .gauge("exadigit_snapshots_resident", "Snapshots resident in memory"),
-            snapshots_spilled: self
-                .registry
-                .gauge("exadigit_snapshots_spilled", "Snapshots held only on the disk tier"),
-            snapshot_shared_bytes: self.registry.gauge(
-                "exadigit_snapshot_shared_bytes",
-                "Recorded-history bytes resident snapshots share by refcount",
-            ),
-            snapshot_owned_bytes: self.registry.gauge(
-                "exadigit_snapshot_owned_bytes",
-                "Recorded-history bytes uniquely owned by resident snapshots",
-            ),
-        });
-        base.now_seconds.set(status.now_s as f64);
-        base.running_jobs.set(status.running_jobs as f64);
-        base.pending_jobs.set(status.pending_jobs as f64);
-        base.jobs_ingested.set(status.jobs_ingested as f64);
-        base.snapshots.set(status.snapshots as f64);
-        base.snapshots_resident.set(status.snapshots_resident as f64);
-        base.snapshots_spilled.set(status.snapshots_spilled as f64);
-        base.snapshot_shared_bytes.set(status.snapshot_shared_bytes as f64);
-        base.snapshot_owned_bytes.set(status.snapshot_owned_bytes as f64);
-        if let Some(v) = status.pue {
-            cached
-                .pue
-                .get_or_insert_with(|| self.registry.gauge("exadigit_pue", "Live twin's latest PUE"))
-                .set(v);
-        }
-        if let Some(v) = status.surrogate_extrapolations {
-            cached
-                .surrogate_extrapolations
-                .get_or_insert_with(|| {
-                    self.registry.gauge(
-                        "exadigit_surrogate_extrapolations",
-                        "Queries the L3 surrogate answered outside its training envelope",
-                    )
-                })
-                .set(v as f64);
-        }
-        if let Some(v) = status.online_l3_steps {
-            cached
-                .online_l3_steps
-                .get_or_insert_with(|| {
-                    self.registry.gauge(
-                        "exadigit_online_l3_steps",
-                        "Cooling quanta served from a trusted online fit",
-                    )
-                })
-                .set(v as f64);
-        }
-        if let Some(v) = status.online_l4_steps {
-            cached
-                .online_l4_steps
-                .get_or_insert_with(|| {
-                    self.registry.gauge(
-                        "exadigit_online_l4_steps",
-                        "Cooling quanta that paid the L4 transient plant",
-                    )
-                })
-                .set(v as f64);
-        }
-        if let Some(v) = fallback_steps {
-            cached
-                .online_fallback_steps
-                .get_or_insert_with(|| {
-                    self.registry.gauge(
-                        "exadigit_online_fallback_steps",
-                        "L4 quanta taken after trust existed (envelope misses)",
-                    )
-                })
-                .set(v as f64);
-        }
-        if let Some(v) = status.online_trusted_regimes {
-            cached
-                .online_trusted_regimes
-                .get_or_insert_with(|| {
-                    self.registry.gauge(
-                        "exadigit_online_trusted_regimes",
-                        "Staging regimes whose online fit is currently trusted",
-                    )
-                })
-                .set(v as f64);
-        }
-    }
+/// The live-state gauges of one [`ServerStatus`], in a fixed order that
+/// exposition appends after the registry's own samples. A `None` field
+/// (PUE without cooling, a fidelity counter the backend lacks) is left
+/// out, so a power-only twin never shows a misleading zero.
+pub(crate) fn status_samples(s: &ServerStatus) -> Vec<Sample> {
+    let some = |v: u64| Some(v as f64);
+    let count = |v: Option<u64>| v.map(|v| v as f64);
+    let gauges = [
+        ("exadigit_live_now_seconds", "Live twin's simulated second", some(s.now_s)),
+        ("exadigit_live_running_jobs", "Jobs running on the live twin", some(s.running_jobs)),
+        ("exadigit_live_pending_jobs", "Jobs queued on the live twin", some(s.pending_jobs)),
+        ("exadigit_jobs_ingested", "Jobs ingested from the telemetry feed", some(s.jobs_ingested)),
+        ("exadigit_snapshots", "Snapshots held across both tiers", some(s.snapshots)),
+        ("exadigit_snapshots_resident", "Snapshots resident in memory", some(s.snapshots_resident)),
+        (
+            "exadigit_snapshots_spilled",
+            "Snapshots held only on the disk tier",
+            some(s.snapshots_spilled),
+        ),
+        (
+            "exadigit_snapshot_shared_bytes",
+            "Recorded-history bytes resident snapshots share by refcount",
+            some(s.snapshot_shared_bytes),
+        ),
+        (
+            "exadigit_snapshot_owned_bytes",
+            "Recorded-history bytes uniquely owned by resident snapshots",
+            some(s.snapshot_owned_bytes),
+        ),
+        ("exadigit_pue", "Live twin's latest PUE", s.pue),
+        (
+            "exadigit_surrogate_extrapolations",
+            "Queries the L3 surrogate answered outside its training envelope",
+            count(s.surrogate_extrapolations),
+        ),
+        (
+            "exadigit_online_l3_steps",
+            "Cooling quanta served from a trusted online fit",
+            count(s.online_l3_steps),
+        ),
+        (
+            "exadigit_online_l4_steps",
+            "Cooling quanta that paid the L4 transient plant",
+            count(s.online_l4_steps),
+        ),
+        (
+            "exadigit_online_fallback_steps",
+            "L4 quanta taken after trust existed (envelope misses)",
+            count(s.online_fallback_steps),
+        ),
+        (
+            "exadigit_online_trusted_regimes",
+            "Staging regimes whose online fit is currently trusted",
+            count(s.online_trusted_regimes),
+        ),
+    ];
+    gauges
+        .into_iter()
+        .filter_map(|(name, help, value)| {
+            let value = MetricValue::Gauge(value?);
+            Some(Sample { name: name.into(), help: help.into(), labels: Vec::new(), value })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -461,8 +388,8 @@ mod tests {
         assert!(text.contains("exadigit_kernel_gaps_batched_total 1"), "{text}");
         assert!(text.contains("exadigit_cache_hits_total 1"), "{text}");
         assert!(text.contains("exadigit_request_seconds_bucket"), "{text}");
-        // Lazily registered live gauges are absent until a status is
-        // mirrored.
+        // Live-state gauges are derived from a status at collection, not
+        // registered.
         assert!(!text.contains("exadigit_live_now_seconds"), "{text}");
     }
 }

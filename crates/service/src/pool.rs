@@ -38,47 +38,24 @@ use exadigit_obs::{HttpExporter, Stage, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Serving-tier tuning knobs (see `docs/SERVICE.md` § "Serving tier").
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
+/// The serving tier's sizing (see `docs/SERVICE.md` § "Serving tier"),
+/// set through the [`TwinServer`] builders.
+struct ServerConfig {
     /// Worker threads executing requests — the only threads that touch
     /// the [`TwinService`], so this bounds service concurrency.
-    pub workers: usize,
-    /// Reader threads multiplexing connection sockets (each owns a
-    /// share of the connections; non-blocking reads, so hundreds of
-    /// idle connections cost no threads).
-    pub readers: usize,
+    workers: usize,
     /// Bounded request-queue depth; a full queue answers
     /// [`Response::Busy`].
-    pub queue_depth: usize,
+    queue_depth: usize,
     /// Per-connection in-flight cap (fairness): one pipelining client
     /// cannot occupy every worker and queue slot.
-    pub max_inflight_per_client: usize,
-    /// Back-off hint carried by [`Response::Busy`], milliseconds.
-    pub retry_after_ms: u64,
-    /// How long a reader sleeps when every socket it owns is idle.
-    /// Shorter naps shave admission latency at the cost of idle CPU;
-    /// the productive/wasted wakeup counters
-    /// (`exadigit_reader_wakeups_total`) show which way to tune it.
-    pub reader_nap: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            workers: 4,
-            readers: 2,
-            queue_depth: 128,
-            max_inflight_per_client: 2,
-            retry_after_ms: 20,
-            reader_nap: Duration::from_micros(250),
-        }
-    }
+    max_inflight_per_client: usize,
 }
 
 /// One admitted request, waiting for (or held by) a worker.
@@ -154,6 +131,20 @@ impl RequestQueue {
 /// Bound on consecutive `WouldBlock` write stalls (~2 s at 200 µs
 /// naps): a client that stops reading cannot park a worker forever.
 const WRITE_STALL_LIMIT: u32 = 10_000;
+
+/// Reader threads multiplexing connection sockets (each owns a share of
+/// the connections; non-blocking reads, so hundreds of idle connections
+/// cost no threads).
+const READERS: usize = 2;
+
+/// Back-off hint carried by [`Response::Busy`], milliseconds.
+const RETRY_AFTER_MS: u64 = 20;
+
+/// How long a reader sleeps when every socket it owns is idle. Shorter
+/// naps shave admission latency at the cost of idle CPU; the
+/// productive/wasted wakeup counters (`exadigit_reader_wakeups_total`)
+/// show which way a change would move it.
+const READER_NAP: Duration = Duration::from_micros(250);
 
 /// Write one JSON line to a non-blocking socket, napping briefly on a
 /// full send buffer.
@@ -247,7 +238,7 @@ enum Pump {
 struct ReaderCtx {
     queue: Arc<RequestQueue>,
     shutdown: Arc<AtomicBool>,
-    config: ServerConfig,
+    max_inflight_per_client: usize,
     addr: SocketAddr,
     obs: Arc<ServiceObs>,
 }
@@ -337,8 +328,8 @@ fn process_line(conn: &mut Connection, line: &[u8], ctx: &ReaderCtx) -> bool {
             });
         }
     };
-    let busy = Response::Busy { retry_after_ms: ctx.config.retry_after_ms };
-    if conn.shared.inflight.load(Ordering::SeqCst) >= ctx.config.max_inflight_per_client {
+    let busy = Response::Busy { retry_after_ms: RETRY_AFTER_MS };
+    if conn.shared.inflight.load(Ordering::SeqCst) >= ctx.max_inflight_per_client {
         if ctx.obs.on() {
             ctx.obs.busy_inflight.inc();
         }
@@ -398,14 +389,15 @@ fn reader_loop(incoming: mpsc::Receiver<Connection>, ctx: ReaderCtx) {
             }
         }
         if !progressed {
-            std::thread::sleep(ctx.config.reader_nap);
+            std::thread::sleep(READER_NAP);
         }
     }
 }
 
 /// One worker: execute admitted requests against the service, feeding
 /// the queue-wait histogram, the lifecycle trace, and the slow-query
-/// log along the way.
+/// log along the way. A handler panic answers [`Response::Error`] and
+/// counts `exadigit_handler_panics_total`; the worker keeps serving.
 fn worker_loop(queue: Arc<RequestQueue>, service: Arc<TwinService>) {
     let obs = Arc::clone(service.obs());
     while let Some(ticket) = queue.pop() {
@@ -424,7 +416,16 @@ fn worker_loop(queue: Arc<RequestQueue>, service: Arc<TwinService>) {
             });
         }
         let started = Instant::now();
-        let response = service.handle(&ticket.request);
+        // A handler panic is a bug, but it must cost one answer, not the
+        // worker. State the handler held locked may be left mid-update;
+        // the locks do not poison, so later requests still answer.
+        let response = panic::catch_unwind(AssertUnwindSafe(|| service.handle(&ticket.request)))
+            .unwrap_or_else(|_| {
+                if on {
+                    obs.handler_panics_total.inc();
+                }
+                Response::Error { message: format!("internal error: the {kind} handler panicked") }
+            });
         let handled = started.elapsed();
         if on {
             obs.trace.push(TraceEvent {
@@ -472,14 +473,14 @@ fn supervise(
         })
         .collect();
     let mut senders = Vec::new();
-    let readers: Vec<JoinHandle<()>> = (0..config.readers.max(1))
+    let readers: Vec<JoinHandle<()>> = (0..READERS)
         .map(|_| {
             let (tx, rx) = mpsc::channel();
             senders.push(tx);
             let ctx = ReaderCtx {
                 queue: Arc::clone(&queue),
                 shutdown: Arc::clone(&shutdown),
-                config: config.clone(),
+                max_inflight_per_client: config.max_inflight_per_client,
                 addr,
                 obs: Arc::clone(&obs),
             };
@@ -543,21 +544,15 @@ pub struct TwinServer {
 
 impl TwinServer {
     /// Bind to `addr` (use port 0 for an OS-assigned port, the loopback
-    /// pattern tests and the example rely on) with the default
-    /// [`ServerConfig`].
+    /// pattern tests and the example rely on) with 4 workers, a queue
+    /// depth of 128 and 2 requests in flight per connection.
     pub fn bind(service: TwinService, addr: &str) -> std::io::Result<TwinServer> {
         Ok(TwinServer {
             listener: TcpListener::bind(addr)?,
             service: Arc::new(service),
-            config: ServerConfig::default(),
+            config: ServerConfig { workers: 4, queue_depth: 128, max_inflight_per_client: 2 },
             metrics_http: None,
         })
-    }
-
-    /// Replace the whole serving-tier configuration (builder style).
-    pub fn with_config(mut self, config: ServerConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Set the worker-thread count (builder style).
@@ -575,13 +570,6 @@ impl TwinServer {
     /// Set the per-connection in-flight cap (builder style).
     pub fn with_per_client_inflight(mut self, cap: usize) -> Self {
         self.config.max_inflight_per_client = cap.max(1);
-        self
-    }
-
-    /// Set the readers' idle nap (builder style): how long a reader
-    /// sleeps when every socket it owns is idle.
-    pub fn with_reader_nap(mut self, nap: Duration) -> Self {
-        self.config.reader_nap = nap;
         self
     }
 

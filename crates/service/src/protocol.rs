@@ -115,6 +115,10 @@ pub struct ServerStatus {
     /// Cooling quanta the online backend paid the L4 transient plant
     /// for — training observations plus envelope-miss fallbacks.
     pub online_l4_steps: Option<u64>,
+    /// The part of `online_l4_steps` taken after trust existed: queries
+    /// outside every trusted envelope. A message without the field (from
+    /// a peer that predates it) decodes as `None`.
+    pub online_fallback_steps: Option<u64>,
     /// Staging regimes whose online fit is currently inside tolerance.
     pub online_trusted_regimes: Option<u64>,
     /// Snapshots resident in memory (≤ `snapshots`).
@@ -579,6 +583,44 @@ mod tests {
         assert_eq!(resp, back, "round trip failed for {json}");
         // Label pairs ride as JSON arrays (vendored serde tuple impls).
         assert!(json.contains("[\"type\",\"Query\"]"), "{json}");
+    }
+
+    #[test]
+    fn status_decodes_without_a_newer_field_and_with_an_unknown_one() {
+        let status = ServerStatus {
+            now_s: 900,
+            running_jobs: 3,
+            pending_jobs: 1,
+            jobs_ingested: 4,
+            feed_pending_jobs: 40,
+            snapshots: 1,
+            cache_entries: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            pue: Some(1.04),
+            surrogate_extrapolations: None,
+            online_l3_steps: Some(50),
+            online_l4_steps: Some(10),
+            online_fallback_steps: Some(2),
+            online_trusted_regimes: Some(1),
+            snapshots_resident: 1,
+            snapshots_spilled: 0,
+            snapshot_shared_bytes: 64,
+            snapshot_owned_bytes: 32,
+        };
+        let json = serde_json::to_string(&Response::Status(status.clone())).unwrap();
+        let decode = |line: &str| match serde_json::from_str::<Response>(line) {
+            Ok(Response::Status(s)) => s,
+            other => panic!("{line}: {other:?}"),
+        };
+        // From a peer that predates the field: absent decodes as None.
+        let older = json.replace("\"online_fallback_steps\":2,", "");
+        assert_ne!(older, json);
+        assert_eq!(decode(&older), ServerStatus { online_fallback_steps: None, ..status.clone() });
+        // From a peer with a field this side does not know: ignored.
+        let newer = json.replace("\"now_s\":900", "\"now_s\":900,\"fans_rpm\":1200");
+        assert_ne!(newer, json);
+        assert_eq!(decode(&newer), status);
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! that lock long enough to resolve a snapshot `Arc` — the fork and the
 //! horizon run execute lock-free, which is what makes *concurrent*
 //! scenario queries concurrent in practice. No method holds two of the
-//! three locks at once ([`Request::Status`] copies the live fields out
-//! before reading the cache and snapshot stores), so a long `Advance`
-//! can never wedge requests that don't need the live twin.
+//! three locks at once ([`Request::Status`] reads the cache and snapshot
+//! stores before it takes the live twin), so a long `Advance` can never
+//! wedge requests that don't need the live twin.
 
 use crate::cache::{scenario_fingerprint, QueryCache};
-use crate::metrics::{request_kind, ServiceObs};
+use crate::metrics::{request_kind, status_samples, ServiceObs};
 use crate::persist::{checkpoint_path, read_json, write_json};
 use crate::protocol::{
     BatchOutcome, CounterSample, GaugeSample, HistogramSample, MetricsReport, Request, Response,
@@ -22,7 +22,7 @@ use crate::protocol::{
 };
 use crate::query::{run_whatif, WhatIfOutcome, WhatIfSpec};
 use crate::snapshot::{SnapshotStore, TwinSnapshot};
-use exadigit_obs::MetricValue;
+use exadigit_obs::{MetricValue, Sample};
 use exadigit_core::config::TwinConfig;
 use exadigit_core::twin::DigitalTwin;
 use exadigit_sim::ensemble::EnsembleRunner;
@@ -198,30 +198,13 @@ impl TwinService {
         TwinService { cache: Mutex::new(cache), ..self }
     }
 
-    /// Turn the hot-path instrumentation on or off (builder style; on by
-    /// default). Off skips request timing, tracing and counting — the
-    /// arm the overhead benchmark compares against. Exposition keeps
-    /// working either way; counters simply stop moving.
-    pub fn with_observability(self, enabled: bool) -> Self {
-        self.obs.set_enabled(enabled);
-        self
-    }
-
-    /// Runtime form of [`Self::with_observability`]: flip the
-    /// instrumentation on a live service (one relaxed atomic store).
-    /// Lets an operator silence a hot twin without restarting it, and
-    /// lets the overhead benchmark interleave instrumented and
-    /// uninstrumented work on the *same* service instance.
+    /// Turn the hot-path instrumentation on or off (on by default; one
+    /// relaxed atomic store). Off skips request timing, tracing and
+    /// counting — the arm the overhead benchmark compares against, on
+    /// the *same* service instance. Exposition keeps working either way:
+    /// counters stop moving, and the live-state gauges stay current.
     pub fn set_observability(&self, enabled: bool) {
         self.obs.set_enabled(enabled);
-    }
-
-    /// Set the slow-query threshold (builder style): a request whose
-    /// queue + handle time reaches `micros` is recorded in the
-    /// slow-query log surfaced by [`Request::Metrics`]. Default 250 ms.
-    pub fn with_slow_query_threshold_us(self, micros: u64) -> Self {
-        self.obs.slowlog.set_threshold_us(micros);
-        self
     }
 
     /// Pin the pool width query fan-out uses (builder style).
@@ -290,24 +273,29 @@ impl TwinService {
         &self.obs
     }
 
-    /// Render the whole registry in Prometheus text exposition format
-    /// 0.0.4, refreshing the live-state gauges first. This is what the
-    /// optional HTTP sidecar (`TwinServer::with_metrics_http`) serves on
-    /// `GET /metrics`.
+    /// Every registry sample, then the live-state gauges derived from a
+    /// fresh [`ServerStatus`]: what both exposition surfaces collect.
+    fn samples(&self) -> Vec<Sample> {
+        let mut samples = self.obs.registry.samples();
+        samples.extend(status_samples(&self.server_status()));
+        samples
+    }
+
+    /// Render every sample in Prometheus text exposition format 0.0.4.
+    /// This is what the optional HTTP sidecar
+    /// (`TwinServer::with_metrics_http`) serves on `GET /metrics`.
     pub fn render_prometheus(&self) -> String {
-        let _ = self.server_status();
-        self.obs.registry.render_prometheus()
+        exadigit_obs::render_prometheus(&self.samples())
     }
 
     /// Assemble the typed [`MetricsReport`] the `Metrics` verb answers
-    /// with: every registry sample (live gauges refreshed first), the
-    /// trace ring, the slow-query log, and any recovery warnings.
+    /// with: every sample (live-state gauges included), the trace ring,
+    /// the slow-query log, and any recovery warnings.
     pub fn metrics_report(&self) -> MetricsReport {
-        let _ = self.server_status();
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
-        for sample in self.obs.registry.samples() {
+        for sample in self.samples() {
             match sample.value {
                 MetricValue::Counter(value) => counters.push(CounterSample {
                     name: sample.name,
@@ -367,48 +355,13 @@ impl TwinService {
         }
     }
 
-    /// Build the `Status` payload and mirror it into the registry's
-    /// live-state gauges, so both exposition surfaces and the `Status`
-    /// verb always report the same numbers.
+    /// Build the `Status` payload: the one place live state is read.
+    /// Exposition derives its live-state gauges from this, so the three
+    /// surfaces agree by construction.
     fn server_status(&self) -> ServerStatus {
-        // Copy the live fields out and release the lock before touching
-        // the cache and snapshot stores: holding live across the other
+        // One lock at a time: holding the live twin across the other
         // locks would let a long Advance wedge every Status probe that
         // queued behind it on those stores.
-        let (
-            now_s,
-            running_jobs,
-            pending_jobs,
-            jobs_ingested,
-            feed_pending_jobs,
-            pue,
-            surrogate_extrapolations,
-            online_l3_steps,
-            online_l4_steps,
-            online_trusted_regimes,
-            online_fallback_steps,
-        ) = {
-            let live = self.live.lock();
-            let (running, pending) = live.twin.queue_state();
-            // Fidelity diagnostics ride the same FMI locals every other
-            // probe uses; backends that don't expose a counter simply
-            // answer None and the field stays absent.
-            let counter =
-                |name: &str| live.twin.cooling_output(name).map(|v| v as u64);
-            (
-                live.twin.now(),
-                running as u64,
-                pending as u64,
-                live.jobs_ingested,
-                live.feed.pending_jobs() as u64,
-                live.twin.cooling_output("pue"),
-                counter("surrogate.extrapolation_count"),
-                counter("online.l3_steps"),
-                counter("online.l4_steps"),
-                counter("online.trusted_regimes"),
-                counter("online.fallback_steps"),
-            )
-        };
         let (cache_entries, cache_hits, cache_misses) = {
             let cache = self.cache.lock();
             let (hits, misses) = cache.stats();
@@ -418,33 +371,33 @@ impl TwinService {
             let store = self.snapshots.lock();
             (store.len() as u64, store.memory_stats())
         };
-        let status = ServerStatus {
-            now_s,
-            running_jobs,
-            pending_jobs,
-            jobs_ingested,
-            feed_pending_jobs,
+        let live = self.live.lock();
+        let (running, pending) = live.twin.queue_state();
+        // Fidelity diagnostics ride the same FMI locals every other probe
+        // uses; backends that don't expose a counter simply answer None
+        // and the field stays absent.
+        let counter = |name: &str| live.twin.cooling_output(name).map(|v| v as u64);
+        ServerStatus {
+            now_s: live.twin.now(),
+            running_jobs: running as u64,
+            pending_jobs: pending as u64,
+            jobs_ingested: live.jobs_ingested,
+            feed_pending_jobs: live.feed.pending_jobs() as u64,
             snapshots,
             cache_entries,
             cache_hits,
             cache_misses,
-            pue,
-            surrogate_extrapolations,
-            online_l3_steps,
-            online_l4_steps,
-            online_trusted_regimes,
+            pue: live.twin.cooling_output("pue"),
+            surrogate_extrapolations: counter("surrogate.extrapolation_count"),
+            online_l3_steps: counter("online.l3_steps"),
+            online_l4_steps: counter("online.l4_steps"),
+            online_fallback_steps: counter("online.fallback_steps"),
+            online_trusted_regimes: counter("online.trusted_regimes"),
             snapshots_resident: memory.resident as u64,
             snapshots_spilled: memory.spilled as u64,
             snapshot_shared_bytes: memory.shared_bytes as u64,
             snapshot_owned_bytes: memory.owned_bytes as u64,
-        };
-        // Mirror into the registry so a Prometheus scrape and a Status
-        // probe taken back to back agree. `online.fallback_steps` rides
-        // only the exposition: ServerStatus's wire shape is frozen.
-        if self.obs.on() {
-            self.obs.set_status_gauges(&status, online_fallback_steps);
         }
-        status
     }
 
     fn advance(&self, seconds: u64) -> Response {
@@ -704,6 +657,45 @@ mod tests {
         // The offline-surrogate extrapolation counter belongs to the
         // Surrogate backend only.
         assert_eq!(status.surrogate_extrapolations, None);
+        let fallback = status.online_fallback_steps.expect("online backend exposes fallbacks");
+        assert!(fallback <= l4, "a fallback is an L4 quantum");
+
+        // Every live-state field equals its gauge on both exposition
+        // surfaces.
+        let fields = [
+            ("exadigit_live_now_seconds", status.now_s as f64),
+            ("exadigit_live_running_jobs", status.running_jobs as f64),
+            ("exadigit_live_pending_jobs", status.pending_jobs as f64),
+            ("exadigit_jobs_ingested", status.jobs_ingested as f64),
+            ("exadigit_snapshots", status.snapshots as f64),
+            ("exadigit_snapshots_resident", status.snapshots_resident as f64),
+            ("exadigit_snapshots_spilled", status.snapshots_spilled as f64),
+            ("exadigit_snapshot_shared_bytes", status.snapshot_shared_bytes as f64),
+            ("exadigit_snapshot_owned_bytes", status.snapshot_owned_bytes as f64),
+            ("exadigit_pue", status.pue.unwrap()),
+            ("exadigit_online_l3_steps", l3 as f64),
+            ("exadigit_online_l4_steps", l4 as f64),
+            ("exadigit_online_fallback_steps", fallback as f64),
+            ("exadigit_online_trusted_regimes", status.online_trusted_regimes.unwrap() as f64),
+        ];
+        let report = svc.metrics_report();
+        let text = svc.render_prometheus();
+        for (name, value) in fields {
+            let gauge = report.gauges.iter().find(|g| g.name == name).map(|g| g.value);
+            assert_eq!(gauge, Some(value), "{name}");
+            assert!(text.contains(&format!("\n{name} {value}\n")), "{name} {value}:\n{text}");
+        }
+        assert!(!text.contains("exadigit_surrogate_extrapolations"), "{text}");
+    }
+
+    #[test]
+    fn live_state_gauges_stay_current_with_observability_off() {
+        let svc = service();
+        svc.handle(&Request::Status);
+        svc.set_observability(false);
+        svc.handle(&Request::Advance { seconds: 300 });
+        let text = svc.render_prometheus();
+        assert!(text.contains("\nexadigit_live_now_seconds 300\n"), "{text}");
     }
 
     #[test]

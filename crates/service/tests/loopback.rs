@@ -661,10 +661,12 @@ fn http_sidecar_serves_prometheus_text() {
 }
 
 /// Observability off is a real off switch: the hot-path instruments
-/// stop moving while the service keeps answering correctly.
+/// stop moving while the service keeps answering correctly, and the
+/// live-state gauges, derived from `Status` at collection, stay current.
 #[test]
 fn disabled_observability_stops_the_counters_not_the_service() {
-    let svc = service().with_observability(false);
+    let svc = service();
+    svc.set_observability(false);
     let handle = TwinServer::bind(svc, "127.0.0.1:0").unwrap().spawn();
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
     let Response::Advanced { now_s, .. } =
@@ -687,5 +689,11 @@ fn disabled_observability_stops_the_counters_not_the_service() {
         .value;
     assert_eq!(advances, 0, "disabled instrumentation must not count");
     assert!(report.trace.is_empty(), "no trace events when disabled");
+    let now = report
+        .gauges
+        .iter()
+        .find(|g| g.name == "exadigit_live_now_seconds")
+        .expect("live-state gauges do not depend on the switch");
+    assert_eq!(now.value, 300.0);
     handle.shutdown();
 }

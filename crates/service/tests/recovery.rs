@@ -13,10 +13,13 @@
 
 use exadigit_core::config::TwinConfig;
 use exadigit_service::{
-    read_message, write_message, PersistError, Request, Response, TelemetryFeed, TwinService,
-    WhatIfSpec,
+    read_message, write_message, PersistError, Request, Response, TelemetryFeed, TwinServer,
+    TwinService, WhatIfSpec,
 };
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir =
@@ -244,6 +247,53 @@ fn recovery_warnings_travel_the_wire() {
     };
     assert_eq!(report.recovery_warnings.len(), 1, "the damaged line travels the wire");
     assert!(report.recovery_warnings[0].contains("line 2"), "{}", report.recovery_warnings[0]);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One request on a fresh connection. The read timeout turns a request
+/// that no worker will ever answer into a failure instead of a hang.
+fn ask(addr: SocketAddr, request: &Request) -> Response {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    write_message(&mut stream.try_clone().unwrap(), request).unwrap();
+    let answer = read_message(&mut BufReader::new(stream));
+    answer.expect("answered within 30 s").expect("not closed").expect("well-formed")
+}
+
+#[test]
+fn a_handler_panic_answers_error_and_the_worker_keeps_serving() {
+    let dir = scratch_dir("handler-panic");
+    {
+        let svc = durable_service(&dir);
+        svc.handle(&Request::Advance { seconds: 600 });
+        svc.handle(&Request::Checkpoint);
+    }
+    // Move the first job still in the checkpointed feed onto a partition
+    // the system lacks. Recovery does not check the feed, so the next
+    // Advance hands the job to the scheduler, which panics placing it.
+    let path = dir.join("live.json");
+    let bytes = std::fs::read(&path).unwrap();
+    let text = String::from_utf8(bytes[8..].to_vec()).unwrap();
+    let (from, to) = ("\"partition\":0", "\"partition\":99");
+    let feed = text.find("\"feed\":").expect("the checkpoint carries the feed");
+    let job = feed + text[feed..].find(from).expect("the feed holds a job");
+    let tampered = format!("{}{to}{}", &text[..job], &text[job + from.len()..]);
+    let mut rewritten = (tampered.len() as u64).to_le_bytes().to_vec();
+    rewritten.extend_from_slice(tampered.as_bytes());
+    std::fs::write(&path, rewritten).unwrap();
+
+    let svc = TwinService::recover(&dir).unwrap();
+    let handle = TwinServer::bind(svc, "127.0.0.1:0").unwrap().with_workers(1).spawn();
+    let r = ask(handle.addr(), &Request::Advance { seconds: 3_600 });
+    let Response::Error { message } = &r else { panic!("{r:?}") };
+    assert!(message.contains("Advance") && message.contains("panicked"), "{message}");
+    // The only worker survived: a fresh connection still gets answers.
+    let r = ask(handle.addr(), &Request::Status);
+    assert!(matches!(r, Response::Status(_)), "{r:?}");
+    let Response::Metrics(report) = ask(handle.addr(), &Request::Metrics) else { panic!() };
+    let panics = report.counters.iter().find(|c| c.name == "exadigit_handler_panics_total");
+    assert_eq!(panics.map(|c| c.value), Some(1));
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
