@@ -24,13 +24,15 @@ fn bench_power_model(c: &mut Criterion) {
         b.iter(|| black_box(model.uniform_power(black_box(0.6), black_box(0.6)).system_w))
     });
     let mut acc = model.new_accumulator();
+    let mut snapshot = model.evaluate(&acc);
     group.bench_function("accumulate_74_racks_and_evaluate", |b| {
         b.iter(|| {
             model.reset_accumulator(&mut acc);
             for rack in 0..74 {
                 model.add_nodes(&mut acc, rack, 128, 0.5, 0.7, 4);
             }
-            black_box(model.evaluate(&acc).system_w)
+            model.evaluate_into(&acc, &mut snapshot);
+            black_box(snapshot.system_w)
         })
     });
     group.finish();

@@ -30,13 +30,9 @@ fn env_usize(key: &str, default: usize) -> usize {
 }
 
 fn service() -> TwinService {
-    TwinService::new(
-        TwinConfig::frontier_power_only(),
-        TelemetryFeed::synthetic(2024, 1),
-        2024,
-    )
-    .expect("frontier config is valid")
-    .with_threads(2)
+    let config = TwinConfig::frontier_power_only();
+    let feed = TelemetryFeed::synthetic(&config.system, 2024, 1);
+    TwinService::new(config, feed, 2024).expect("frontier config is valid").with_threads(2)
 }
 
 /// The mixed request stream client `i` sends at step `j`: mostly

@@ -17,6 +17,14 @@
 //! * the §IV-3 what-if variants: smart load-sharing rectifiers (stage
 //!   rectifiers so each runs near its peak-efficiency load) and direct
 //!   380 V DC distribution (drop the rectification stage entirely).
+//!
+//! Nodes at one utilization pair share one node point (eq. (3) by
+//! component plus the node's SIVOC input), so the simulation's power
+//! recompute computes one point per running job and one for the idle
+//! nodes, adds `count ×` each figure into the racks they occupy, and
+//! [`PowerModel::evaluate_into`] writes into the held snapshot's vectors.
+//! Every sum is added in the order one [`PowerModel::add_nodes`] per
+//! (job, rack) pair adds it, so the recorded outputs do not move.
 
 use crate::config::{ConversionConfig, SystemConfig};
 use serde::{Deserialize, Serialize};
@@ -154,10 +162,41 @@ impl PowerAccumulator {
         self.nvme_w = 0.0;
         self.nodes_counted = 0;
     }
+
+    /// Account `count` nodes at `point` on `rack`: `count ×` each figure.
+    pub(crate) fn add(&mut self, rack: usize, count: usize, point: &NodePoint) {
+        let n = count as f64;
+        self.cpu_w += n * point.cpu_w;
+        self.gpu_w += n * point.gpu_w;
+        self.ram_w += n * point.ram_w;
+        self.nic_w += n * point.nic_w;
+        self.nvme_w += n * point.nvme_w;
+        self.rack_node_dc_w[rack] += n * point.node_w;
+        self.rack_bus_w[rack] += n * point.bus_w;
+        self.nodes_counted += count;
+    }
+}
+
+/// One node's figures at a utilization pair: the eq. (3) components, their
+/// sum, and the SIVOC input that sum draws from the rack bus. Nodes at the
+/// same pair share one point, so a job's point is computed once however
+/// many racks it spans.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodePoint {
+    cpu_w: f64,
+    /// All GPUs of the node together.
+    gpu_w: f64,
+    nic_w: f64,
+    ram_w: f64,
+    nvme_w: f64,
+    /// Node DC power (48 V side), W.
+    node_w: f64,
+    /// SIVOC input for `node_w` (380 V bus side), W.
+    bus_w: f64,
 }
 
 /// One evaluated power state of the whole system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PowerSnapshot {
     /// Total system AC power (eq. 4 summed + CDU pumps), W.
     pub system_w: f64,
@@ -183,7 +222,7 @@ pub struct PowerSnapshot {
 }
 
 /// Fig. 4 power-utilization breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PowerBreakdown {
     /// GPUs, W.
     pub gpus_w: f64,
@@ -263,13 +302,22 @@ impl PowerModel {
 
     /// Eq. (3): node DC power at the given utilizations with `gpus` GPUs.
     pub fn node_power(&self, cpu_util: f64, gpu_util: f64, gpus: usize) -> f64 {
+        self.node_point(cpu_util, gpu_util, gpus).node_w
+    }
+
+    /// One node's [`NodePoint`] at the given utilizations with `gpus`
+    /// GPUs: eq. (3) by component, and the per-node SIVOC input, because
+    /// η_S depends on the individual node load.
+    pub(crate) fn node_point(&self, cpu_util: f64, gpu_util: f64, gpus: usize) -> NodePoint {
         let p = &self.cfg.node_power;
-        let cpu = p.cpu_idle_w + cpu_util.clamp(0.0, 1.0) * (p.cpu_max_w - p.cpu_idle_w);
-        let gpu = p.gpu_idle_w + gpu_util.clamp(0.0, 1.0) * (p.gpu_max_w - p.gpu_idle_w);
-        cpu + gpus as f64 * gpu
-            + p.nics_per_node as f64 * p.nic_each_w
-            + p.ram_w
-            + p.nvmes_per_node as f64 * p.nvme_each_w
+        let cpu_w = p.cpu_idle_w + cpu_util.clamp(0.0, 1.0) * (p.cpu_max_w - p.cpu_idle_w);
+        let gpu_w =
+            (p.gpu_idle_w + gpu_util.clamp(0.0, 1.0) * (p.gpu_max_w - p.gpu_idle_w)) * gpus as f64;
+        let nic_w = p.nics_per_node as f64 * p.nic_each_w;
+        let nvme_w = p.nvmes_per_node as f64 * p.nvme_each_w;
+        let node_w = cpu_w + gpu_w + nic_w + p.ram_w + nvme_w;
+        let bus_w = self.conv.sivoc_input(node_w);
+        NodePoint { cpu_w, gpu_w, nic_w, ram_w: p.ram_w, nvme_w, node_w, bus_w }
     }
 
     /// Node idle power (all utilizations zero).
@@ -293,9 +341,7 @@ impl PowerModel {
     }
 
     /// Account `count` identical nodes on `rack` running at the given
-    /// utilizations. Components are split for the Fig. 4 breakdown; the
-    /// per-node SIVOC loss is applied here because η_S depends on the
-    /// individual node load.
+    /// utilizations. Components are split for the Fig. 4 breakdown.
     pub fn add_nodes(
         &self,
         acc: &mut PowerAccumulator,
@@ -308,31 +354,25 @@ impl PowerModel {
         if count == 0 {
             return;
         }
-        let p = &self.cfg.node_power;
-        let n = count as f64;
-        let cpu = p.cpu_idle_w + cpu_util.clamp(0.0, 1.0) * (p.cpu_max_w - p.cpu_idle_w);
-        let gpu =
-            (p.gpu_idle_w + gpu_util.clamp(0.0, 1.0) * (p.gpu_max_w - p.gpu_idle_w)) * gpus as f64;
-        let nic = p.nics_per_node as f64 * p.nic_each_w;
-        let nvme = p.nvmes_per_node as f64 * p.nvme_each_w;
-        let node_w = cpu + gpu + nic + p.ram_w + nvme;
-
-        acc.cpu_w += n * cpu;
-        acc.gpu_w += n * gpu;
-        acc.ram_w += n * p.ram_w;
-        acc.nic_w += n * nic;
-        acc.nvme_w += n * nvme;
-        acc.rack_node_dc_w[rack] += n * node_w;
-        acc.rack_bus_w[rack] += n * self.conv.sivoc_input(node_w);
-        acc.nodes_counted += count;
+        acc.add(rack, count, &self.node_point(cpu_util, gpu_util, gpus));
     }
 
     /// Evaluate the accumulated state into a full system snapshot.
     pub fn evaluate(&self, acc: &PowerAccumulator) -> PowerSnapshot {
+        let mut snapshot = PowerSnapshot::default();
+        self.evaluate_into(acc, &mut snapshot);
+        snapshot
+    }
+
+    /// [`Self::evaluate`] into a held snapshot, reusing its rack and CDU
+    /// vectors rather than allocating two per evaluation. The result is
+    /// the same bit for bit.
+    pub fn evaluate_into(&self, acc: &PowerAccumulator, out: &mut PowerSnapshot) {
         let rack_cfg = &self.cfg.rack;
         let cool = &self.cfg.cooling;
 
-        let mut rack_ac_w = Vec::with_capacity(self.racks);
+        let mut rack_ac_w = std::mem::take(&mut out.rack_ac_w);
+        rack_ac_w.clear();
         let mut node_ac_w = 0.0;
         for &bus in &acc.rack_bus_w {
             let ac = self.conv.rack_ac_input(bus);
@@ -349,14 +389,16 @@ impl PowerModel {
 
         // Heat to each CDU loop: rack AC + switch power of its racks,
         // scaled by the cooling efficiency (§III-B2).
-        let mut cdu_heat_w = vec![0.0; cool.num_cdus];
+        let mut cdu_heat_w = std::mem::take(&mut out.cdu_heat_w);
+        cdu_heat_w.clear();
+        cdu_heat_w.resize(cool.num_cdus, 0.0);
         for (rack, &ac) in rack_ac_w.iter().enumerate() {
             let cdu = self.cdu_of_rack(rack);
             cdu_heat_w[cdu] += (ac + switch_per_rack) * cool.cooling_efficiency;
         }
 
         let efficiency = if node_ac_w > 0.0 { node_dc_w / node_ac_w } else { 1.0 };
-        PowerSnapshot {
+        *out = PowerSnapshot {
             system_w,
             node_dc_w,
             node_ac_w,
@@ -376,7 +418,7 @@ impl PowerModel {
                 losses_w: loss_w,
                 cdu_pumps_w: cdu_pump_w,
             },
-        }
+        };
     }
 
     /// Whole-system power with every node at the same utilization — the

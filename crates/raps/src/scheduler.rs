@@ -78,6 +78,101 @@ impl NodePool {
         NodePool { ranges, free, free_count }
     }
 
+    /// Check a pool this program did not build, such as one loaded from a
+    /// save, against the machine `cfg` and the node ids running jobs
+    /// hold, given as `(partition, ids)` pairs: partitions laid out as
+    /// [`Self::new`] lays them out; canonical free intervals that add up
+    /// to the free count; held ids inside their partition; and free
+    /// intervals and held ids that together cover each partition exactly
+    /// once. So every later allocation finds its ids free and every
+    /// release finds its ids taken. O(partitions + held ids + k log k)
+    /// for k free intervals and runs of consecutive held ids.
+    pub(crate) fn validate<'a>(
+        &self,
+        cfg: &SystemConfig,
+        held: impl IntoIterator<Item = (usize, &'a [u32])>,
+    ) -> Result<(), String> {
+        let partitions = cfg.partitions.len();
+        if self.ranges.len() != partitions
+            || self.free.len() != partitions
+            || self.free_count.len() != partitions
+        {
+            return Err(format!("pool does not have the machine's {partitions} partitions"));
+        }
+        let span = |r: &PartitionRange| (u64::from(r.start), u64::from(r.start) + u64::from(r.len));
+        // Per partition: runs of consecutive held ids, then the free
+        // intervals, each as (start, len).
+        let mut cover: Vec<Vec<(u64, u64)>> = vec![Vec::new(); partitions];
+        for (p, ids) in held {
+            let (Some(runs), Some(range)) = (cover.get_mut(p), self.ranges.get(p)) else {
+                return Err(format!("a running job's partition {p} does not exist"));
+            };
+            let (start, end) = span(range);
+            let mut rest = ids;
+            while let Some(&first) = rest.first() {
+                let consecutive = |w: &[u32]| w[1].checked_sub(w[0]) == Some(1);
+                let len = 1 + rest.windows(2).take_while(|w| consecutive(w)).count();
+                let (at, stop) = (u64::from(first), u64::from(first) + len as u64);
+                if at < start || stop > end {
+                    let id = if at < start { at } else { at.max(end) };
+                    return Err(format!(
+                        "pool partition {p}: a running job holds node {id}, outside it"
+                    ));
+                }
+                runs.push((at, len as u64));
+                rest = &rest[len..];
+            }
+        }
+        let mut next = 0u64;
+        for (p, ((range, part), runs)) in
+            self.ranges.iter().zip(&cfg.partitions).zip(&mut cover).enumerate()
+        {
+            let (start, end) = span(range);
+            if start != next || range.len as usize != part.nodes || end > 1 << 32 {
+                return Err(format!(
+                    "pool partition {p} is not the machine's {} nodes from id {next}",
+                    part.nodes
+                ));
+            }
+            next = end;
+            let (mut free, mut prev_stop) = (0u64, None);
+            for (&at, &len) in &self.free[p] {
+                let (at, len) = (u64::from(at), u64::from(len));
+                if len == 0 || prev_stop == Some(at) {
+                    return Err(format!("pool partition {p} has a free interval out of place"));
+                }
+                prev_stop = Some(at + len);
+                runs.push((at, len));
+                free += len;
+            }
+            if free != self.free_count[p] as u64 {
+                return Err(format!(
+                    "pool partition {p} counts {} free nodes but its intervals hold {free}",
+                    self.free_count[p]
+                ));
+            }
+            // Sorted, each run must start where the one before stopped,
+            // and the last stop at the partition's end.
+            runs.sort_unstable();
+            let mut stop = start;
+            for &(at, len) in runs.iter().chain([&(end, 0)]) {
+                if at < stop {
+                    return Err(format!(
+                        "pool partition {p}: node {at} is held twice, or held and free"
+                    ));
+                }
+                if at > stop {
+                    return Err(format!(
+                        "pool partition {p}: nodes {stop}..{at} are neither free nor held by a \
+                         running job"
+                    ));
+                }
+                stop = at + len;
+            }
+        }
+        Ok(())
+    }
+
     /// Number of partitions.
     pub fn partitions(&self) -> usize {
         self.ranges.len()
@@ -367,6 +462,57 @@ mod tests {
         assert_eq!(pool.available(0), 12);
         pool.release(0, &a);
         assert_eq!(pool.available(0), 16);
+    }
+
+    /// A pool loaded from a save must be shaped like the machine, keep
+    /// its free intervals canonical, and be covered exactly once by them
+    /// and the ids running jobs hold; each way of breaking that is refused.
+    #[test]
+    fn validate_refuses_a_pool_unlike_the_machine() {
+        let cfg = small_config(16);
+        let mut pool = NodePool::new(&cfg);
+        let (a, b) = (pool.allocate(0, 3).unwrap(), pool.allocate(0, 2).unwrap());
+        let held = [(0, &a[..]), (0, &b[..])];
+        assert_eq!(pool.validate(&cfg, held), Ok(()));
+        let broken: [fn(&mut NodePool); 6] = [
+            |p| p.free_count[0] += 1,
+            |p| p.ranges[0].len = 15,
+            |p| *p = NodePool::new(&small_config(17)),
+            |p| {
+                p.free[0].insert(1, 1);
+            },
+            |p| {
+                p.free[0].insert(20, 1);
+            },
+            |p| {
+                // Adjacent to the interval at 5: not canonical.
+                p.free[0].insert(4, 1);
+                p.free_count[0] += 1;
+            },
+        ];
+        for (i, breaks) in broken.iter().enumerate() {
+            let mut p = pool.clone();
+            breaks(&mut p);
+            assert!(p.validate(&cfg, held).is_err(), "break {i} was accepted");
+        }
+        type Holds<'a> = &'a [(usize, &'a [u32])];
+        let wrong_holds: [(Holds, &str); 5] = [
+            (&[(0, &[0, 1, 2]), (0, &[3, 20])], "node 20, outside it"),
+            (&[(0, &[0, 1, 2]), (0, &[2, 3])], "node 2 is held twice"),
+            (&[(0, &[0, 1, 2]), (0, &[3, 4, 5])], "node 5 is held twice, or held and free"),
+            (&[(0, &[0, 1, 2])], "nodes 3..5 are neither free nor held"),
+            (&[(0, &[0, 1, 2]), (1, &[3, 4])], "partition 1 does not exist"),
+        ];
+        for (holds, expect) in wrong_holds {
+            let err = pool.validate(&cfg, holds.iter().copied()).expect_err(expect);
+            assert!(err.contains(expect), "{expect}: {err}");
+        }
+        let two = SystemConfig::setonix_like();
+        let mut pool = NodePool::new(&two);
+        let (cpu, gpu) = (pool.allocate(0, 10).unwrap(), pool.allocate(1, 4).unwrap());
+        assert_eq!(pool.validate(&two, [(0, &cpu[..]), (1, &gpu[..])]), Ok(()));
+        assert!(pool.validate(&two, [(1, &cpu[..]), (0, &gpu[..])]).is_err());
+        assert!(NodePool::new(&two).validate(&cfg, []).is_err());
     }
 
     #[test]

@@ -59,6 +59,29 @@ fn has_variable_trace(job: &Job) -> bool {
         || matches!(job.gpu_util, UtilTrace::Series { .. })
 }
 
+/// Nodes physically present per rack: full racks, the remainder in the
+/// last. Needs at least one node and a rack size of at least one.
+fn rack_capacities(cfg: &SystemConfig) -> impl Iterator<Item = u32> {
+    let per_rack = cfg.rack.nodes_per_rack;
+    let racks = cfg.total_racks();
+    let last = cfg.total_nodes() - per_rack * (racks - 1);
+    (0..racks).map(move |rack| (if rack + 1 < racks { per_rack } else { last }) as u32)
+}
+
+/// A running job's `(rack, count)` pairs: its node ids grouped into runs
+/// on one rack, the rack of node `n` being `n / nodes_per_rack` (as
+/// [`PowerModel::rack_of_node`]). One division per run, not per node.
+fn rack_counts_of(nodes: &[u32], nodes_per_rack: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mut rest = nodes;
+    std::iter::from_fn(move || {
+        let rack = *rest.first()? as usize / nodes_per_rack;
+        let on_rack = rack * nodes_per_rack..(rack + 1) * nodes_per_rack;
+        let run = rest.iter().take_while(|&&n| on_rack.contains(&(n as usize))).count();
+        rest = &rest[run..];
+        Some((rack as u32, run as u32))
+    })
+}
+
 /// Names used to resolve the cooling model's variables at attach time.
 /// Any [`CoSimModel`] exposing these is accepted — the §V generalisation.
 pub mod cooling_vars {
@@ -295,10 +318,96 @@ struct KernelState {
 impl KernelState {
     /// The invariants the kernel assumes of a state it did not build
     /// itself, checked once when a saved state is loaded rather than
-    /// asserted where they are used: a record cadence of at least 1 s.
+    /// asserted where they are used: a record cadence of at least 1 s; a
+    /// pool, rack capacities and snapshot shaped like the machine; jobs in
+    /// partitions that exist; node ids held by running jobs that, with the
+    /// pool's free intervals, cover each partition exactly once; and
+    /// running allocations whose rack counts are the ones their ids give
+    /// and agree with the per-rack and total node counts and with the
+    /// variable-trace count. A job is checked only for what the kernel
+    /// indexes by it, so every job that submission accepts (more nodes
+    /// than its partition has, a utilization the kernel clamps) loads
+    /// again.
+    /// O(jobs + racks + held ids + k log k) for k free intervals and runs
+    /// of held ids: about the cost of decoding the ids.
     fn validate(&self) -> Result<(), String> {
         if self.record_every_s == 0 {
             return Err("record_every_s must be at least 1".into());
+        }
+        let cfg = &*self.cfg;
+        if cfg.rack.nodes_per_rack == 0 || cfg.total_nodes() == 0 {
+            return Err("the machine needs at least one node and one node per rack".into());
+        }
+        if self.total_nodes != cfg.total_nodes() {
+            return Err(format!(
+                "total_nodes is {} but the machine has {}",
+                self.total_nodes,
+                cfg.total_nodes()
+            ));
+        }
+        let racks = cfg.total_racks();
+        if !self.rack_capacity.iter().copied().eq(rack_capacities(cfg)) {
+            return Err(format!("rack_capacity is not the machine's layout of {racks} racks"));
+        }
+        if self.rack_allocated.len() != racks {
+            return Err(format!("rack_allocated must have one entry per rack ({racks})"));
+        }
+        let cdus = cfg.cooling.num_cdus;
+        if self.snapshot.rack_ac_w.len() != racks || self.snapshot.cdu_heat_w.len() != cdus {
+            return Err(format!("the power snapshot must cover {racks} racks and {cdus} CDUs"));
+        }
+        let partitions = cfg.partitions.len();
+        let running_jobs = self.running.iter().map(|rj| &rj.job);
+        for job in self.future.iter().chain(&self.pending).chain(running_jobs) {
+            if job.partition >= partitions {
+                let (id, p) = (job.id.0, job.partition);
+                return Err(format!("job {id}: partition {p} does not exist ({partitions} do)"));
+            }
+        }
+        self.pool.validate(cfg, self.running.iter().map(|rj| (rj.job.partition, &rj.nodes[..])))?;
+        let mut on_rack = vec![0u64; racks];
+        let mut variable = 0;
+        for rj in &self.running {
+            let job = &rj.job;
+            let id = job.id.0;
+            if rj.nodes.len() != job.nodes {
+                let held = rj.nodes.len();
+                return Err(format!("running job {id} holds {held} of its {} nodes", job.nodes));
+            }
+            if rj.gpus_per_node != cfg.partitions[job.partition].gpus_per_node {
+                return Err(format!("running job {id}: gpus_per_node is not its partition's"));
+            }
+            // The pool check put every id inside the machine, once, so
+            // these racks exist and no rack holds more than its capacity.
+            let derived = rack_counts_of(&rj.nodes, cfg.rack.nodes_per_rack);
+            if !derived.eq(rj.rack_counts.iter().copied()) {
+                return Err(format!("running job {id}: rack_counts are not the racks of its nodes"));
+            }
+            for &(rack, count) in &rj.rack_counts {
+                on_rack[rack as usize] += u64::from(count);
+            }
+            variable += usize::from(has_variable_trace(job));
+        }
+        for (rack, (&held, &allocated)) in on_rack.iter().zip(&self.rack_allocated).enumerate() {
+            if held != u64::from(allocated) {
+                return Err(format!(
+                    "rack_allocated[{rack}] is {allocated}, but running jobs hold {held} of its \
+                     nodes"
+                ));
+            }
+        }
+        let allocated: u64 = on_rack.iter().sum();
+        if u64::from(self.active_nodes) != allocated {
+            return Err(format!(
+                "active_nodes is {} but the racks hold {allocated} allocated nodes",
+                self.active_nodes
+            ));
+        }
+        if self.variable_running != variable {
+            return Err(format!(
+                "variable_running is {} but {variable} running jobs have a series trace",
+                self.variable_running
+            ));
         }
         Ok(())
     }
@@ -350,11 +459,7 @@ impl RapsSimulation {
         let model = Arc::new(PowerModel::new(cfg.clone(), delivery));
         let racks = model.racks();
         let total_nodes = cfg.total_nodes();
-        // Rack capacities: full racks, remainder in the last.
-        let per_rack = cfg.rack.nodes_per_rack;
-        let mut rack_capacity = vec![per_rack as u32; racks];
-        let rem = total_nodes - per_rack * (racks - 1);
-        rack_capacity[racks - 1] = rem as u32;
+        let rack_capacity = rack_capacities(&cfg).collect();
         let mut events = EventQueue::new();
         events.schedule_every(COOLING_PERIOD_S, EventKind::CoolingQuantum);
         // Record boundaries on the quantum grid are already covered by the
@@ -656,7 +761,8 @@ impl RapsSimulation {
                     self.state.outputs
                         .wait_stats
                         .push(now.saturating_sub(job.submit_time_s) as f64);
-                    let rack_counts = self.rack_counts_of(&nodes);
+                    let rack_counts: Vec<_> =
+                        rack_counts_of(&nodes, self.state.cfg.rack.nodes_per_rack).collect();
                     for &(rack, count) in &rack_counts {
                         self.state.rack_allocated[rack as usize] += count;
                     }
@@ -1011,12 +1117,14 @@ impl RapsSimulation {
     ///
     /// The power model and its accumulator are reconstructed from the
     /// carried `(cfg, delivery)` (the accumulator is scratch reset at
-    /// every recompute, so a fresh one is bit-safe). When the state
-    /// carries cooling, `rebuild_cooling` maps the model's opaque blob
-    /// back to a live [`CoSimModel`] — the caller knows which backend
-    /// type to deserialize — and the coupling is re-attached *without*
-    /// re-running `setup`, so the restored model continues from its
-    /// captured internals rather than a fresh settle.
+    /// every recompute, so a fresh one is bit-safe). The state is checked
+    /// once here (`KernelState::validate`), so a save whose counts
+    /// disagree is a typed error rather than a panic or a wrong answer
+    /// later. When the state carries cooling, `rebuild_cooling` maps the
+    /// model's opaque blob back to a live [`CoSimModel`] — the caller
+    /// knows which backend type to deserialize — and the coupling is
+    /// re-attached *without* re-running `setup`, so the restored model
+    /// continues from its captured internals rather than a fresh settle.
     pub fn from_state(
         value: &serde::Value,
         rebuild_cooling: impl FnOnce(&serde::Value) -> Result<Box<dyn CoSimModel>, String>,
@@ -1029,6 +1137,13 @@ impl RapsSimulation {
             .map_err(invalid)?
         {
             None => None,
+            Some(cs) if cs.num_cdus > state.cfg.cooling.num_cdus => {
+                return Err(format!(
+                    "invalid simulation state: the cooling coupling has {} CDU inputs, the \
+                     machine only {}",
+                    cs.num_cdus, state.cfg.cooling.num_cdus
+                ));
+            }
             Some(cs) => Some(CoolingCoupling::attach(rebuild_cooling(&cs.model)?, cs.num_cdus)?),
         };
         let model = Arc::new(PowerModel::new((*state.cfg).clone(), state.delivery));
@@ -1040,10 +1155,11 @@ impl RapsSimulation {
     /// and per-fork UQ perturbations (`docs/SERVICE.md`).
     ///
     /// Only the electrical side may change: `cfg` must describe the same
-    /// machine topology (node/rack counts and partitions), because running
-    /// allocations and the node pool are carried over untouched. The next
-    /// recompute (forced here via `power_dirty`) evaluates the held
-    /// allocation state under the new model.
+    /// machine topology (node/rack counts and partitions with their GPUs
+    /// per node), because running allocations and the node pool are
+    /// carried over untouched. The next recompute (forced here via
+    /// `power_dirty`) evaluates the held allocation state under the new
+    /// model.
     pub fn set_power_model(
         &mut self,
         cfg: SystemConfig,
@@ -1057,7 +1173,7 @@ impl RapsSimulation {
                 .partitions
                 .iter()
                 .zip(&self.state.cfg.partitions)
-                .any(|(a, b)| a.nodes != b.nodes)
+                .any(|(a, b)| a.nodes != b.nodes || a.gpus_per_node != b.gpus_per_node)
         {
             return Err("set_power_model requires an identical machine topology".into());
         }
@@ -1074,51 +1190,38 @@ impl RapsSimulation {
         &self.state.pool
     }
 
-    fn rack_counts_of(&self, nodes: &[u32]) -> Vec<(u32, u32)> {
-        let mut counts: Vec<(u32, u32)> = Vec::new();
-        for &n in nodes {
-            let rack = self.model.rack_of_node(n as usize) as u32;
-            match counts.last_mut() {
-                Some((r, c)) if *r == rack => *c += 1,
-                _ => counts.push((rack, 1)),
-            }
-        }
-        counts
-    }
-
+    /// Re-derive the held snapshot from the running allocations. Each
+    /// running job's node point is computed once, however many racks it
+    /// spans, and the idle point once for all racks. The sums are added
+    /// in the same order as one `add_nodes` per (job, rack) pair, so the
+    /// snapshot is the same bit for bit.
     fn recompute_power(&mut self, now: u64) {
-        self.model.reset_accumulator(&mut self.acc);
-        // Active nodes, per job.
         let model = &self.model;
         let acc = &mut self.acc;
+        model.reset_accumulator(acc);
+        // Active nodes, per job.
         for rj in &mut self.state.running {
             let elapsed = rj.job.elapsed_at(now);
             let cpu = rj.job.cpu_util.at(elapsed);
             let gpu = rj.job.gpu_util.at(elapsed);
             rj.last_cpu = cpu;
             rj.last_gpu = gpu;
+            let point = model.node_point(cpu, gpu, rj.gpus_per_node);
             for &(rack, count) in &rj.rack_counts {
-                model.add_nodes(
-                    acc,
-                    rack as usize,
-                    count as usize,
-                    cpu,
-                    gpu,
-                    rj.gpus_per_node,
-                );
+                acc.add(rack as usize, count as usize, &point);
             }
         }
         // Idle nodes: rack capacity minus allocated. The default GPU count
         // of the first partition is used for idle nodes, which is exact for
         // single-partition systems and a fine approximation otherwise.
-        let idle_gpus = self.state.cfg.partitions[0].gpus_per_node;
+        let idle_point = model.node_point(0.0, 0.0, self.state.cfg.partitions[0].gpus_per_node);
         for rack in 0..self.state.rack_capacity.len() {
             let idle = self.state.rack_capacity[rack] - self.state.rack_allocated[rack];
             if idle > 0 {
-                self.model.add_nodes(&mut self.acc, rack, idle as usize, 0.0, 0.0, idle_gpus);
+                acc.add(rack, idle as usize, &idle_point);
             }
         }
-        self.state.snapshot = self.model.evaluate(&self.acc);
+        model.evaluate_into(acc, &mut self.state.snapshot);
     }
 
     /// Forward the held snapshot (and `wb`) across the FMI boundary.
@@ -1351,6 +1454,81 @@ mod tests {
         assert_eq!(s.now(), 60);
         assert_eq!(s.running_count(), 1);
         assert_eq!(f.report().jobs_completed, 2);
+    }
+
+    /// Each invariant `KernelState::validate` checks is refused when
+    /// broken, one field at a time, and the state a run builds passes.
+    #[test]
+    fn validate_refuses_each_broken_invariant() {
+        let series = UtilTrace::Series { quantum_s: 15, values: vec![0.2, 0.8] };
+        let mut s = sim();
+        s.submit_jobs(vec![
+            Job::new(1, "wide", 200, 3_600, 0, 0.5, 0.5),
+            Job { cpu_util: series, ..Job::new(2, "series", 64, 3_600, 0, 0.5, 0.5) },
+            Job::new(3, "whole", 9_472, 600, 0, 0.5, 0.5),
+            Job::new(4, "later", 64, 600, 7_200, 0.5, 0.5),
+        ]);
+        s.run_until(600).unwrap();
+        assert_eq!((s.running_count(), s.pending_count()), (2, 1));
+        assert_eq!(s.state.validate(), Ok(()));
+        // Nor can a power-model swap reach a state that fails the GPU
+        // check: it may not change a partition's GPUs per node.
+        let mut more_gpus = SystemConfig::frontier();
+        more_gpus.partitions[0].gpus_per_node = 8;
+        assert!(s.set_power_model(more_gpus, PowerDelivery::StandardAC).is_err());
+        // running[0] is the series job on ids 200–263; the wide job holds
+        // 0–199.
+        assert_eq!(s.state.running[0].nodes, (200..264).collect::<Vec<u32>>());
+        type Break = fn(&mut KernelState);
+        let broken: [(&str, Break); 18] = [
+            ("record_every_s", |k| k.record_every_s = 0),
+            ("pool", |k| k.pool = NodePool::new(&SystemConfig::marconi100_like())),
+            ("total_nodes", |k| k.total_nodes += 1),
+            ("rack_capacity", |k| k.rack_capacity[0] = 1),
+            ("rack_allocated must", |k| k.rack_allocated.push(0)),
+            ("snapshot", |k| {
+                k.snapshot.cdu_heat_w.pop();
+            }),
+            ("partition 9 does not exist", |k| k.future[0].partition = 9),
+            ("node 20000, outside it", |k| k.running[0].nodes[0] = 20_000),
+            ("node 0 is held twice", |k| k.running[0].nodes[0] = 0),
+            ("node 200 is held twice, or held and free", |k| k.pool.release(0, &[200])),
+            ("nodes 200..264 are neither free nor held", |k| {
+                k.running[0].nodes = (9_000..9_064).collect();
+            }),
+            ("holds", |k| {
+                let node = k.running[0].nodes.pop().unwrap();
+                k.pool.release(0, &[node]);
+            }),
+            ("gpus_per_node", |k| k.running[0].gpus_per_node = 8),
+            ("rack_counts are not", |k| k.running[0].rack_counts[0].0 = 999),
+            ("rack_counts are not", |k| k.running[0].rack_counts[0].1 += 1),
+            ("rack_allocated[5] is 500", |k| k.rack_allocated[5] = 500),
+            ("active_nodes", |k| k.active_nodes = 0),
+            ("variable_running", |k| k.variable_running = 0),
+        ];
+        for (expect, breaks) in broken {
+            let mut state = s.state.clone();
+            breaks(&mut state);
+            match state.validate() {
+                Ok(()) => panic!("a state with {expect} broken was accepted"),
+                Err(e) => assert!(e.contains(expect), "{expect}: {e}"),
+            }
+        }
+        // A multi-partition machine's state passes too: each partition's
+        // running ids cover what its free intervals leave, and each job's
+        // GPUs are its partition's.
+        let mut setonix = RapsSimulation::new(
+            SystemConfig::setonix_like(),
+            PowerDelivery::StandardAC,
+            Policy::FirstFit,
+            15,
+        );
+        let gpu_job = Job { partition: 1, ..Job::new(6, "gpu", 100, 3_600, 0, 0.5, 0.5) };
+        setonix.submit_jobs(vec![Job::new(5, "cpu", 1_000, 3_600, 0, 0.5, 0.0), gpu_job]);
+        setonix.run_until(600).unwrap();
+        assert_eq!(setonix.running_count(), 2);
+        assert_eq!(setonix.state.validate(), Ok(()));
     }
 
     #[test]

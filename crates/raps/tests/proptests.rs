@@ -3,7 +3,7 @@
 
 use exadigit_raps::config::{PartitionConfig, SystemConfig};
 use exadigit_raps::job::{Job, UtilTrace};
-use exadigit_raps::power::{PowerDelivery, PowerModel};
+use exadigit_raps::power::{PowerDelivery, PowerModel, PowerSnapshot};
 use exadigit_raps::scheduler::{schedule_jobs, NodePool, Policy, RunningRelease};
 use exadigit_raps::simulation::RapsSimulation;
 use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
@@ -15,6 +15,18 @@ fn small_config(nodes: usize) -> SystemConfig {
     cfg.partitions =
         vec![PartitionConfig { name: "batch".into(), nodes, gpus_per_node: 4 }];
     cfg
+}
+
+/// Every number of a snapshot as bits: the scalars, then each rack's AC
+/// input, then each CDU's heat.
+fn snapshot_bits(s: &PowerSnapshot) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let b = &s.breakdown;
+    let scalars = [
+        s.system_w, s.node_dc_w, s.node_ac_w, s.loss_w, s.efficiency, s.switch_w, s.cdu_pump_w,
+        b.gpus_w, b.cpus_w, b.ram_w, b.nics_w, b.nvme_w, b.switches_w, b.losses_w, b.cdu_pumps_w,
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (bits(&scalars), bits(&s.rack_ac_w), bits(&s.cdu_heat_w))
 }
 
 fn arbitrary_jobs(max_nodes: usize) -> impl Strategy<Value = Vec<Job>> {
@@ -162,6 +174,41 @@ proptest! {
         let heat: f64 = snap.cdu_heat_w.iter().sum();
         let expect = 0.945 * (snap.node_ac_w + snap.switch_w);
         prop_assert!((heat - expect).abs() <= 1e-6 * expect);
+    }
+
+    /// Evaluating into a held snapshot is invisible. Recomputes through
+    /// one reused accumulator into one held snapshot, whose vectors still
+    /// hold the previous round's values, equal a fresh accumulator's
+    /// fresh evaluation to the bit, in every field and vector element.
+    /// Each round picks its delivery variant, so the held vectors were
+    /// often written under another conversion chain.
+    #[test]
+    fn evaluating_into_a_held_snapshot_equals_a_fresh_evaluation(
+        rounds in prop::collection::vec(
+            (0usize..3, prop::collection::vec((0usize..4, 1usize..3, 0usize..3), 0..5)),
+            1..16,
+        ),
+    ) {
+        const UTIL: [f64; 3] = [0.0, 0.5, 1.0];
+        let mut cfg = small_config(512);
+        cfg.cooling.num_cdus = 2;
+        let models =
+            [PowerDelivery::StandardAC, PowerDelivery::SmartRectifiers, PowerDelivery::Direct380Vdc]
+                .map(|d| PowerModel::new(cfg.clone(), d));
+        let mut reused = models[0].new_accumulator();
+        let mut held = PowerSnapshot::default();
+        for (delivery_idx, adds) in &rounds {
+            let model = &models[*delivery_idx];
+            model.reset_accumulator(&mut reused);
+            let mut fresh = model.new_accumulator();
+            for &(rack, count, u) in adds {
+                for acc in [&mut reused, &mut fresh] {
+                    model.add_nodes(acc, rack, count, UTIL[u], UTIL[u], 4);
+                }
+            }
+            model.evaluate_into(&reused, &mut held);
+            prop_assert_eq!(snapshot_bits(&held), snapshot_bits(&model.evaluate(&fresh)));
+        }
     }
 
     /// Utilization traces stay in [0, 1] whatever the raw samples.

@@ -42,12 +42,9 @@
 //! use exadigit_service::{Request, ServiceClient, TwinServer, TwinService, WhatIfSpec};
 //! use exadigit_telemetry::replay::TelemetryFeed;
 //!
-//! let service = TwinService::new(
-//!     TwinConfig::frontier_power_only(),
-//!     TelemetryFeed::synthetic(42, 1),
-//!     42,
-//! )
-//! .unwrap();
+//! let config = TwinConfig::frontier_power_only();
+//! let feed = TelemetryFeed::synthetic(&config.system, 42, 1);
+//! let service = TwinService::new(config, feed, 42).unwrap();
 //! let handle = TwinServer::bind(service, "127.0.0.1:0").unwrap().spawn();
 //! let mut client = ServiceClient::connect(handle.addr()).unwrap();
 //! client.request(&Request::Advance { seconds: 43_200 }).unwrap();

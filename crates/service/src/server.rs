@@ -606,13 +606,9 @@ mod tests {
     use exadigit_raps::job::{Job, UtilTrace};
 
     fn service() -> TwinService {
-        TwinService::new(
-            TwinConfig::frontier_power_only(),
-            TelemetryFeed::synthetic(7, 1),
-            7,
-        )
-        .unwrap()
-        .with_threads(2)
+        let config = TwinConfig::frontier_power_only();
+        let feed = TelemetryFeed::synthetic(&config.system, 7, 1);
+        TwinService::new(config, feed, 7).unwrap().with_threads(2)
     }
 
     #[test]
@@ -642,8 +638,8 @@ mod tests {
             .with_backend(exadigit_core::config::CoolingBackend::Online(
                 exadigit_core::online::OnlineSurrogateConfig::default(),
             ));
-        let svc =
-            TwinService::new(config, TelemetryFeed::synthetic(5, 1), 5).unwrap().with_threads(2);
+        let feed = TelemetryFeed::synthetic(&config.system, 5, 1);
+        let svc = TwinService::new(config, feed, 5).unwrap().with_threads(2);
         svc.handle(&Request::Advance { seconds: 1_800 });
         let Response::Status(status) = svc.handle(&Request::Status) else { panic!() };
         // Every cooling quantum was answered by exactly one of the two

@@ -11,13 +11,9 @@ use exadigit_service::{
 use std::time::Duration;
 
 fn service() -> TwinService {
-    TwinService::new(
-        TwinConfig::frontier_power_only(),
-        TelemetryFeed::synthetic(123, 1),
-        123,
-    )
-    .unwrap()
-    .with_threads(2)
+    let config = TwinConfig::frontier_power_only();
+    let feed = TelemetryFeed::synthetic(&config.system, 123, 1);
+    TwinService::new(config, feed, 123).unwrap().with_threads(2)
 }
 
 fn spawn_server() -> exadigit_service::ServerHandle {

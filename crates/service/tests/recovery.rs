@@ -29,7 +29,9 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 fn durable_service(dir: &PathBuf) -> TwinService {
-    TwinService::new(TwinConfig::frontier_power_only(), TelemetryFeed::synthetic(11, 1), 11)
+    let config = TwinConfig::frontier_power_only();
+    let feed = TelemetryFeed::synthetic(&config.system, 11, 1);
+    TwinService::new(config, feed, 11)
         .unwrap()
         .with_threads(2)
         .with_persist_dir(dir)
@@ -383,9 +385,9 @@ fn checkpoint_and_persist_travel_the_wire_format() {
 
 #[test]
 fn auto_checkpoint_requires_a_persist_dir_and_positive_cadence() {
-    let svc =
-        TwinService::new(TwinConfig::frontier_power_only(), TelemetryFeed::synthetic(3, 1), 3)
-            .unwrap();
+    let config = TwinConfig::frontier_power_only();
+    let feed = TelemetryFeed::synthetic(&config.system, 3, 1);
+    let svc = TwinService::new(config, feed, 3).unwrap();
     // No durable tier: the cadence has nowhere to write.
     assert!(svc.with_auto_checkpoint_every(4).is_err());
     let dir = scratch_dir("auto-zero");

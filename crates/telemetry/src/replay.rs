@@ -17,7 +17,7 @@
 //! steady-state trace used by tests and quick studies.
 
 use crate::generator::{SyntheticTwin, TelemetryDay};
-use exadigit_raps::config::NodePowerConfig;
+use exadigit_raps::config::{NodePowerConfig, SystemConfig};
 use exadigit_raps::job::Job;
 use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
 use exadigit_sim::clock::SECONDS_PER_DAY;
@@ -295,13 +295,20 @@ impl TelemetryFeed {
             .with_cooling_trace(CoolingTrace::from_telemetry(day))
     }
 
-    /// A synthetic multi-day feed: the default workload model's job stream
-    /// over `days` days plus the synthetic twin's diurnal wet-bulb
-    /// profile, all derived deterministically from `seed`. This is the
-    /// cheap stand-in `examples/twin_service.rs` and the service tests
-    /// ingest — no physical-twin recording pass required.
-    pub fn synthetic(seed: u64, days: u64) -> Self {
-        let mut gen = WorkloadGenerator::new(WorkloadParams::default(), seed);
+    /// A synthetic multi-day feed for `system`: the default workload
+    /// model's job stream over `days` days, with job sizes and offered
+    /// load scaled to the system's first partition (where the generated
+    /// jobs run, so every job fits it), plus the synthetic twin's diurnal
+    /// wet-bulb profile, all derived deterministically from `seed`. This
+    /// is the cheap stand-in `examples/twin_service.rs` and the service
+    /// tests ingest — no physical-twin recording pass required. A
+    /// Frontier feed is the default workload model's stream unchanged.
+    pub fn synthetic(system: &SystemConfig, seed: u64, days: u64) -> Self {
+        let params = WorkloadParams {
+            machine_nodes: system.partitions[0].nodes,
+            ..WorkloadParams::default()
+        };
+        let mut gen = WorkloadGenerator::new(params, seed);
         let jobs = gen.generate_span(days.max(1));
         let twin = SyntheticTwin::frontier();
         // Concatenate per-day wet-bulb profiles (60 s cadence) into one
@@ -484,8 +491,9 @@ mod tests {
 
     #[test]
     fn synthetic_feed_is_deterministic_and_spans_days() {
-        let a = TelemetryFeed::synthetic(42, 2);
-        let b = TelemetryFeed::synthetic(42, 2);
+        let frontier = SystemConfig::frontier();
+        let a = TelemetryFeed::synthetic(&frontier, 42, 2);
+        let b = TelemetryFeed::synthetic(&frontier, 42, 2);
         assert_eq!(a.pending_jobs(), b.pending_jobs());
         assert_eq!(a.wet_bulb().to_vec(), b.wet_bulb().to_vec());
         assert_eq!(a.span_s(), 2 * SECONDS_PER_DAY);
@@ -497,6 +505,23 @@ mod tests {
         let jobs = feed.poll(2 * SECONDS_PER_DAY);
         assert!(jobs.iter().all(|j| j.submit_time_s < 2 * SECONDS_PER_DAY));
         assert!(feed.exhausted());
+    }
+
+    /// A synthetic feed sizes its jobs to the system: on the
+    /// Marconi100-like machine every job of seed 5's day fits the
+    /// partition it runs in (Frontier-sized, 116 of them never could),
+    /// while a Frontier feed is the default workload stream job for job.
+    #[test]
+    fn synthetic_feed_sizes_jobs_to_the_system() {
+        let marconi = SystemConfig::marconi100_like();
+        let jobs = TelemetryFeed::synthetic(&marconi, 5, 1).poll(SECONDS_PER_DAY);
+        assert!(jobs.len() > 100, "{} jobs", jobs.len());
+        for job in &jobs {
+            assert_eq!(job.validate(&marconi), Ok(()));
+        }
+        let frontier = SystemConfig::frontier();
+        let default_day = WorkloadGenerator::new(WorkloadParams::default(), 5).generate_span(1);
+        assert_eq!(TelemetryFeed::synthetic(&frontier, 5, 1).poll(SECONDS_PER_DAY), default_day);
     }
 
     #[test]

@@ -24,14 +24,12 @@ fn main() {
 
     // 1. Boot a durable service: every snapshot is written under `dir`
     //    (length-prefixed JSON, atomic tmp + rename) as it is taken.
-    let service = TwinService::new(
-        TwinConfig::frontier_power_only(),
-        TelemetryFeed::synthetic(42, 1),
-        42,
-    )
-    .expect("frontier config is valid")
-    .with_persist_dir(&dir)
-    .expect("fresh persist dir");
+    let config = TwinConfig::frontier_power_only();
+    let feed = TelemetryFeed::synthetic(&config.system, 42, 1);
+    let service = TwinService::new(config, feed, 42)
+        .expect("frontier config is valid")
+        .with_persist_dir(&dir)
+        .expect("fresh persist dir");
     let handle = TwinServer::bind(service, "127.0.0.1:0").expect("bind loopback").spawn();
     let mut client = ServiceClient::connect(handle.addr()).expect("connect");
     println!("durable server on {} persisting to {}", handle.addr(), dir.display());

@@ -20,12 +20,9 @@ fn main() {
 
     // 1. Boot the service: a power-only Frontier live twin fed by one
     //    synthetic telemetry day (the stand-in for the real stream).
-    let service = TwinService::new(
-        TwinConfig::frontier_power_only(),
-        TelemetryFeed::synthetic(42, 1),
-        42,
-    )
-    .expect("frontier config is valid");
+    let config = TwinConfig::frontier_power_only();
+    let feed = TelemetryFeed::synthetic(&config.system, 42, 1);
+    let service = TwinService::new(config, feed, 42).expect("frontier config is valid");
     let handle = TwinServer::bind(service, "127.0.0.1:0")
         .expect("bind loopback")
         .with_metrics_http("127.0.0.1:0")

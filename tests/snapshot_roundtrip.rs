@@ -18,7 +18,7 @@
 //! can move `energy_j` by float associativity (~1 ULP) while every
 //! recorded series stays bit-identical.
 
-use exadigit_core::config::TwinConfig;
+use exadigit_core::config::{CoolingBackend, TwinConfig};
 use exadigit_core::twin::DigitalTwin;
 use exadigit_raps::config::{PartitionConfig, SystemConfig};
 use exadigit_raps::job::Job;
@@ -233,6 +233,123 @@ fn a_save_with_a_zero_record_cadence_is_refused_on_load() {
         Ok(_) => panic!("a zero record cadence must be refused"),
         Err(e) => assert!(e.contains("record_every_s"), "{e}"),
     }
+}
+
+/// A power-model swap keeps nothing of the chain it replaced. A live
+/// simulation swapped from standard to smart rectifiers mid-run, its
+/// recompute scratch and held snapshot filled under the standard chain,
+/// continues exactly as a reloaded copy given the same swap, on every
+/// recorded series.
+#[test]
+fn a_power_model_swap_mid_run_matches_a_reload_then_the_same_swap() {
+    let cfg = small_config(512);
+    let jobs: Vec<Job> = [(200usize, 9_000u64, 0u64), (64, 900, 300), (100, 4_000, 2_400)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(nodes, wall, submit))| {
+            Job::new(i as u64, format!("j{i}"), nodes, wall, submit, 0.6, 0.8)
+        })
+        .collect();
+    let mut live =
+        RapsSimulation::new(cfg.clone(), PowerDelivery::StandardAC, Policy::FirstFit, 15);
+    live.submit_jobs(jobs);
+    live.run_until(1_800).unwrap();
+    let json = serde_json::to_string(&live.save_state().unwrap()).unwrap();
+    let mut back = rehydrate(&json);
+    for sim in [&mut live, &mut back] {
+        sim.set_power_model(cfg.clone(), PowerDelivery::SmartRectifiers).unwrap();
+        sim.run_until(7_200).unwrap();
+    }
+    assert_eq!(state_digest(&live), state_digest(&back));
+    let (ol, ob) = (live.outputs(), back.outputs());
+    for (name, a, b) in [
+        ("system_power_w", &ol.system_power_w, &ob.system_power_w),
+        ("loss_w", &ol.loss_w, &ob.loss_w),
+        ("utilization", &ol.utilization, &ob.utilization),
+        ("efficiency", &ol.efficiency, &ob.efficiency),
+        ("pue", &ol.pue, &ob.pue),
+    ] {
+        assert_eq!(a.len(), b.len(), "{name} length");
+        for (i, (x, y)) in a.samples().zip(b.samples()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{name}[{i}] diverged after the swap");
+        }
+    }
+}
+
+/// The node at `path` inside a saved state: object keys, or array
+/// indices written as numbers.
+fn at<'a>(value: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
+    path.iter().fold(value, |v, key| match v {
+        serde::Value::Object(fields) => {
+            &mut fields.iter_mut().find(|(k, _)| k == key).expect("field present").1
+        }
+        serde::Value::Array(items) => &mut items[key.parse::<usize>().expect("an index")],
+        _ => panic!("{key}: not a container"),
+    })
+}
+
+/// The kernel counts a save carries are untrusted too. Each of these
+/// tampered fresh saves of a twin running a 200-node job used to load:
+/// the first three then panicked in a debug build's run (u32
+/// subtraction, or a wrapped node count) and in a release build
+/// answered below Frontier's idle floor, the fourth indexed past the
+/// rack vectors in both builds, and the last (the job's ids moved onto
+/// free nodes, counts left consistent) panicked on a double release
+/// when the job completed. Each load must refuse with a typed error
+/// naming what disagrees, while the untampered save still loads.
+#[test]
+fn a_save_whose_allocation_counts_disagree_is_refused_on_load() {
+    let mut twin = DigitalTwin::new(TwinConfig::frontier_power_only()).unwrap();
+    twin.submit(vec![Job::new(1, "wide", 200, 3_600, 0, 0.5, 0.5)]);
+    twin.run(600).unwrap();
+    assert_eq!(twin.queue_state().0, 1, "the job is running");
+    let save = twin.save_state().unwrap();
+    DigitalTwin::from_state(&save).expect("the untampered save loads");
+    let number = |n| serde::Value::Number(serde::Number::U(n));
+    let free_ids = serde::Value::Array((9_000..9_200).map(number).collect());
+    let probes: [(&[&str], serde::Value, &str); 5] = [
+        (&["sim", "rack_allocated", "5"], number(500), "rack_allocated[5]"),
+        (&["sim", "rack_capacity", "0"], number(1), "rack_capacity"),
+        (&["sim", "active_nodes"], number(0), "active_nodes"),
+        (&["sim", "running", "0", "rack_counts", "0", "0"], number(999), "rack_counts are not"),
+        (&["sim", "running", "0", "nodes"], free_ids, "nodes 0..200 are neither free nor held"),
+    ];
+    for (path, tampered, expect) in probes {
+        let mut value = save.clone();
+        *at(&mut value, path) = tampered;
+        match DigitalTwin::from_state(&value) {
+            Ok(_) => panic!("{path:?} must be refused"),
+            Err(e) => assert!(e.contains(expect), "{path:?}: {e}"),
+        }
+    }
+}
+
+/// Load checks only what the kernel indexes, so every job submission
+/// accepts loads again. A power-only Marconi100-like twin (980 nodes)
+/// holds a job with a CPU utilization of 1.05 (running, clamped to 1),
+/// one asking for Frontier's 9,472 nodes (never started), a zero-node
+/// job (started at once, holding no node) and a later copy of each;
+/// its save loads, and the loaded twin continues exactly as the
+/// original.
+#[test]
+fn a_save_of_jobs_submission_accepts_loads() {
+    let config = TwinConfig::marconi100_like().with_backend(CoolingBackend::None);
+    let mut twin = DigitalTwin::new(config).unwrap();
+    for (first_id, submit) in [(1, 0), (4, 3_600)] {
+        twin.submit(vec![
+            Job::new(first_id, "hot", 64, 600, submit, 1.05, 0.5),
+            Job::new(first_id + 1, "oversized", 9_472, 600, submit, 0.5, 0.5),
+            Job::new(first_id + 2, "empty", 0, 600, submit, 0.5, 0.5),
+        ]);
+    }
+    twin.run(300).unwrap();
+    assert_eq!(twin.queue_state(), (2, 1), "hot and empty run, oversized waits");
+    let mut back = DigitalTwin::from_state(&twin.save_state().unwrap()).expect("the save loads");
+    for t in [&mut twin, &mut back] {
+        t.run(7_200).unwrap();
+    }
+    let json = |t: &DigitalTwin| serde_json::to_string(&t.save_state().unwrap()).unwrap();
+    assert_eq!(json(&twin), json(&back));
 }
 
 /// RNG streams must continue mid-sequence across the round trip — the
