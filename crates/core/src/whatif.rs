@@ -54,22 +54,35 @@ pub struct PowerDeliveryStudy {
 }
 
 impl PowerDeliveryStudy {
-    /// Replay `jobs` for `horizon_s` under each variant, batched across
-    /// the thread-pool executor at the process-default width (power-only:
-    /// conversion losses do not feed back into cooling).
+    /// Replay `jobs` for `horizon_s` under each variant (power-only:
+    /// conversion losses do not feed back into cooling). A delivery swap
+    /// changes only the conversion chain, so the variants share one
+    /// schedule: the runner splits them into `min(3, width)` chunks at the
+    /// process-default width, and each chunk replays once with its first
+    /// variant as the simulation's own power model and the rest as power
+    /// lanes. Every outcome is bit-identical to a replay of its own.
     pub fn run(system: &SystemConfig, jobs: &[Job], horizon_s: u64, policy: Policy) -> Self {
-        let variants = vec![
+        const VARIANTS: [PowerDelivery; 3] = [
             PowerDelivery::StandardAC,
             PowerDelivery::SmartRectifiers,
             PowerDelivery::Direct380Vdc,
         ];
-        let outcomes = EnsembleRunner::new(0).map(variants, |_ctx, delivery| {
-            let mut sim = RapsSimulation::new(system.clone(), delivery, policy, 60);
+        let chunks = EnsembleRunner::new(0).run_chunks(VARIANTS.len(), |ctxs| {
+            let deliveries: Vec<PowerDelivery> = ctxs.iter().map(|c| VARIANTS[c.index]).collect();
+            let mut sim = RapsSimulation::new(system.clone(), deliveries[0], policy, 60);
             sim.submit_jobs(jobs.to_vec());
-            sim.run_until(horizon_s).expect("power-only run cannot fail");
-            DeliveryOutcome { delivery, report: sim.report() }
+            let lanes = deliveries[1..].iter().map(|&d| (system.clone(), d)).collect();
+            let lanes = sim
+                .run_until_with_lanes(horizon_s, lanes)
+                .expect("a power-only run over one machine");
+            let reports = std::iter::once(sim.report()).chain(lanes);
+            deliveries
+                .into_iter()
+                .zip(reports)
+                .map(|(delivery, report)| DeliveryOutcome { delivery, report })
+                .collect::<Vec<_>>()
         });
-        PowerDeliveryStudy { outcomes }
+        PowerDeliveryStudy { outcomes: chunks.into_iter().flatten().collect() }
     }
 
     /// The baseline (standard AC) outcome.

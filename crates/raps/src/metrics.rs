@@ -4,8 +4,9 @@
 //! A [`KernelMetrics`] is a bundle of [`exadigit_obs::Counter`] handles
 //! the simulation increments as it works: events stepped (by kind),
 //! constant-power gaps absorbed in closed form, cooled quanta collapsed
-//! through `repeat_step`, and record samples materialised by bulk
-//! backfill instead of being visited second-by-second. Together they
+//! through `repeat_step`, record samples materialised by bulk backfill
+//! instead of being visited second-by-second, and power lanes that rode
+//! along another model's schedule. Together they
 //! answer "is the lazy path actually engaging?" for a *live* serving
 //! twin, where previously only the `day_replay` bench could tell.
 //!
@@ -46,6 +47,10 @@ pub struct KernelMetrics {
     /// Output-series samples materialised by closed-form backfill
     /// (`TimeSeries::push_n`) rather than recorded at a visited second.
     pub samples_backfilled: Counter,
+    /// Power lanes carried by lane runs (`run_until_with_lanes`), one per
+    /// lane per run: each is a power model that rode along another's
+    /// schedule instead of stepping its own.
+    pub power_lanes: Counter,
 }
 
 impl KernelMetrics {

@@ -82,6 +82,35 @@ fn rack_counts_of(nodes: &[u32], nodes_per_rack: usize) -> impl Iterator<Item = 
     })
 }
 
+/// Accumulate `state`'s running jobs, at the utilization samples the last
+/// recompute took, and its idle nodes into `acc` under `model`. Each
+/// running job's node point is computed once, however many racks it
+/// spans, and the idle point once for all racks. The sums are added in
+/// the same order as one `add_nodes` per (job, rack) pair, so the
+/// snapshot is the same bit for bit. The kernel's own model and every
+/// power lane accumulate through here.
+fn accumulate_allocation(model: &PowerModel, acc: &mut PowerAccumulator, state: &KernelState) {
+    model.reset_accumulator(acc);
+    for rj in &state.running {
+        let point = model.node_point(rj.last_cpu, rj.last_gpu, rj.gpus_per_node);
+        for &(rack, count) in &rj.rack_counts {
+            acc.add(rack as usize, count as usize, &point);
+        }
+    }
+    // Idle nodes: rack capacity minus allocated. The default GPU count
+    // of the first partition is used for idle nodes, which is exact for
+    // single-partition systems and a fine approximation otherwise.
+    let idle_point = model.node_point(0.0, 0.0, state.cfg.partitions[0].gpus_per_node);
+    for (rack, (&capacity, &allocated)) in
+        state.rack_capacity.iter().zip(&state.rack_allocated).enumerate()
+    {
+        let idle = capacity - allocated;
+        if idle > 0 {
+            acc.add(rack, idle as usize, &idle_point);
+        }
+    }
+}
+
 /// Names used to resolve the cooling model's variables at attach time.
 /// Any [`CoSimModel`] exposing these is accepted — the §V generalisation.
 pub mod cooling_vars {
@@ -423,6 +452,50 @@ struct CoolingState {
     model: serde::Value,
 }
 
+/// One extra power model carried over a run of another's schedule
+/// ([`RapsSimulation::run_until_with_lanes`]): the power side of what a
+/// fork under that model would hold. It makes the calls the kernel's own
+/// power side makes, at the same points, so it ends bit-identical to
+/// that fork. A lane lives for one run call and is not [`KernelState`],
+/// so it is never saved, forked or validated.
+struct PowerLane {
+    model: PowerModel,
+    acc: PowerAccumulator,
+    snapshot: PowerSnapshot,
+    energy_j: f64,
+    power_stats: Welford,
+    loss_stats: Welford,
+    eff_stats: Welford,
+}
+
+/// Why [`RapsSimulation::run_until_with_lanes`] refused a run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LaneError {
+    /// A cooling model is attached. The plant's response depends on
+    /// power, so each power model needs a run of its own.
+    CoolingAttached,
+    /// Lane `lane` describes a machine other than the simulation's.
+    Topology {
+        /// The refused lane's index.
+        lane: usize,
+    },
+}
+
+impl std::fmt::Display for LaneError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LaneError::CoolingAttached => {
+                f.write_str("power lanes need a power-only run, but a cooling model is attached")
+            }
+            LaneError::Topology { lane } => {
+                write!(f, "power lane {lane} requires an identical machine topology")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LaneError {}
+
 /// The RAPS simulator: the kernel state plus the parts that are derived
 /// from it or are not state.
 pub struct RapsSimulation {
@@ -444,6 +517,8 @@ pub struct RapsSimulation {
     /// ([`KernelMetrics`] is `Arc`'d atomics), so one attached set
     /// observes the live twin and every what-if branched from it.
     metrics: KernelMetrics,
+    /// Power lanes of the lane run in progress; empty outside one.
+    lanes: Vec<PowerLane>,
 }
 
 impl RapsSimulation {
@@ -507,8 +582,8 @@ impl RapsSimulation {
         cooling: Option<CoolingCoupling>,
         metrics: KernelMetrics,
     ) -> Self {
-        let acc = model.new_accumulator();
-        RapsSimulation { state, model, acc, event_buf: Vec::new(), cooling, metrics }
+        let (acc, event_buf, lanes) = (model.new_accumulator(), Vec::new(), Vec::new());
+        RapsSimulation { state, model, acc, event_buf, cooling, metrics, lanes }
     }
 
     /// Attach a cooling model (FMU import). Call before running; also
@@ -807,6 +882,9 @@ impl RapsSimulation {
 
         // Record outputs and push the second's summary statistics.
         self.record_second(now);
+        if !self.lanes.is_empty() {
+            self.account_lanes_second();
+        }
         Ok(())
     }
 
@@ -1027,6 +1105,9 @@ impl RapsSimulation {
         self.state.outputs.loss_stats.push_n(self.state.snapshot.loss_w, seconds);
         self.state.outputs.eff_stats.push_n(self.state.snapshot.efficiency, seconds);
         self.state.outputs.util_stats.push_n(util, seconds);
+        if !self.lanes.is_empty() {
+            self.account_lanes_gap(seconds);
+        }
     }
 
     /// True when every running job's utilization trace samples to exactly
@@ -1165,16 +1246,7 @@ impl RapsSimulation {
         cfg: SystemConfig,
         delivery: PowerDelivery,
     ) -> Result<(), String> {
-        if cfg.total_nodes() != self.state.total_nodes
-            || cfg.total_racks() != self.state.rack_capacity.len()
-            || cfg.rack.nodes_per_rack != self.state.cfg.rack.nodes_per_rack
-            || cfg.partitions.len() != self.state.cfg.partitions.len()
-            || cfg
-                .partitions
-                .iter()
-                .zip(&self.state.cfg.partitions)
-                .any(|(a, b)| a.nodes != b.nodes || a.gpus_per_node != b.gpus_per_node)
-        {
+        if !self.same_topology(&cfg) {
             return Err("set_power_model requires an identical machine topology".into());
         }
         self.model = Arc::new(PowerModel::new(cfg.clone(), delivery));
@@ -1185,43 +1257,133 @@ impl RapsSimulation {
         Ok(())
     }
 
+    /// True when `cfg` describes this simulation's machine: node and rack
+    /// counts, and partitions with their GPUs per node. Running
+    /// allocations and the node pool carry over only onto such a machine.
+    fn same_topology(&self, cfg: &SystemConfig) -> bool {
+        cfg.total_nodes() == self.state.total_nodes
+            && cfg.total_racks() == self.state.rack_capacity.len()
+            && cfg.rack.nodes_per_rack == self.state.cfg.rack.nodes_per_rack
+            && cfg.partitions.len() == self.state.cfg.partitions.len()
+            && cfg
+                .partitions
+                .iter()
+                .zip(&self.state.cfg.partitions)
+                .all(|(a, b)| a.nodes == b.nodes && a.gpus_per_node == b.gpus_per_node)
+    }
+
+    /// Run to `horizon_s` as [`Self::run_until`] does, carrying one extra
+    /// power model per `(cfg, delivery)` lane over the same schedule, and
+    /// return each lane's report in lane order.
+    ///
+    /// Lane `i`'s report is bit-identical to [`Self::report`] of a fork
+    /// that called `set_power_model(cfg_i, delivery_i)` and ran to
+    /// `horizon_s`. Power never feeds back into scheduling, and whether
+    /// the kernel steps or jumps depends only on the schedule, so such a
+    /// fork takes the same recompute points and accounts the same seconds
+    /// and gaps; each lane is recomputed and accounted at exactly those
+    /// calls. Like a power model swap, the run owes a recompute (so every
+    /// lane is evaluated before its first accounted second), and the
+    /// lanes start from the energy and statistics held now. Refused when
+    /// a cooling model is attached or a lane's machine differs.
+    pub fn run_until_with_lanes(
+        &mut self,
+        horizon_s: u64,
+        lanes: Vec<(SystemConfig, PowerDelivery)>,
+    ) -> Result<Vec<RunReport>, LaneError> {
+        if self.cooling.is_some() {
+            return Err(LaneError::CoolingAttached);
+        }
+        if let Some(lane) = lanes.iter().position(|(cfg, _)| !self.same_topology(cfg)) {
+            return Err(LaneError::Topology { lane });
+        }
+        let outputs = &self.state.outputs;
+        let lanes: Vec<PowerLane> = lanes
+            .into_iter()
+            .map(|(cfg, delivery)| {
+                let model = PowerModel::new(cfg, delivery);
+                PowerLane {
+                    acc: model.new_accumulator(),
+                    model,
+                    snapshot: PowerSnapshot::default(),
+                    energy_j: outputs.energy_j,
+                    power_stats: outputs.power_stats,
+                    loss_stats: outputs.loss_stats,
+                    eff_stats: outputs.eff_stats,
+                }
+            })
+            .collect();
+        self.metrics.power_lanes.add(lanes.len() as u64);
+        self.lanes = lanes;
+        self.state.power_dirty = true;
+        let run = self.run_until(horizon_s);
+        let lanes = std::mem::take(&mut self.lanes);
+        run.expect("a power-only run cannot fail");
+        Ok(lanes
+            .iter()
+            .map(|l| {
+                let (cfg, energy_j) = (l.model.config(), l.energy_j);
+                self.report_with(cfg, energy_j, l.power_stats, l.loss_stats, l.eff_stats)
+            })
+            .collect())
+    }
+
     /// The node pool's free-list state (equivalence tests, diagnostics).
     pub fn pool(&self) -> &NodePool {
         &self.state.pool
     }
 
-    /// Re-derive the held snapshot from the running allocations. Each
-    /// running job's node point is computed once, however many racks it
-    /// spans, and the idle point once for all racks. The sums are added
-    /// in the same order as one `add_nodes` per (job, rack) pair, so the
-    /// snapshot is the same bit for bit.
+    /// Sample every running job's utilization at `now` and re-derive the
+    /// held snapshot, and each lane's, from the running allocations.
     fn recompute_power(&mut self, now: u64) {
-        let model = &self.model;
-        let acc = &mut self.acc;
-        model.reset_accumulator(acc);
-        // Active nodes, per job.
         for rj in &mut self.state.running {
             let elapsed = rj.job.elapsed_at(now);
-            let cpu = rj.job.cpu_util.at(elapsed);
-            let gpu = rj.job.gpu_util.at(elapsed);
-            rj.last_cpu = cpu;
-            rj.last_gpu = gpu;
-            let point = model.node_point(cpu, gpu, rj.gpus_per_node);
-            for &(rack, count) in &rj.rack_counts {
-                acc.add(rack as usize, count as usize, &point);
-            }
+            rj.last_cpu = rj.job.cpu_util.at(elapsed);
+            rj.last_gpu = rj.job.gpu_util.at(elapsed);
         }
-        // Idle nodes: rack capacity minus allocated. The default GPU count
-        // of the first partition is used for idle nodes, which is exact for
-        // single-partition systems and a fine approximation otherwise.
-        let idle_point = model.node_point(0.0, 0.0, self.state.cfg.partitions[0].gpus_per_node);
-        for rack in 0..self.state.rack_capacity.len() {
-            let idle = self.state.rack_capacity[rack] - self.state.rack_allocated[rack];
-            if idle > 0 {
-                acc.add(rack, idle as usize, &idle_point);
-            }
+        accumulate_allocation(&self.model, &mut self.acc, &self.state);
+        self.model.evaluate_into(&self.acc, &mut self.state.snapshot);
+        if !self.lanes.is_empty() {
+            self.recompute_lanes();
         }
-        model.evaluate_into(acc, &mut self.state.snapshot);
+    }
+
+    /// Each lane's share of a recompute, from the samples just taken.
+    #[cold]
+    #[inline(never)]
+    fn recompute_lanes(&mut self) {
+        for lane in &mut self.lanes {
+            accumulate_allocation(&lane.model, &mut lane.acc, &self.state);
+            lane.model.evaluate_into(&lane.acc, &mut lane.snapshot);
+        }
+    }
+
+    /// Each lane's share of a stepped second, the calls `step_second`
+    /// and `record_second` make for the kernel's own snapshot.
+    #[cold]
+    #[inline(never)]
+    fn account_lanes_second(&mut self) {
+        for lane in &mut self.lanes {
+            let p = &lane.snapshot;
+            lane.energy_j += p.system_w;
+            lane.power_stats.push(p.system_w);
+            lane.loss_stats.push(p.loss_w);
+            lane.eff_stats.push(p.efficiency);
+        }
+    }
+
+    /// Each lane's share of a steady gap, the calls `account_steady`
+    /// makes for the kernel's own snapshot.
+    #[cold]
+    #[inline(never)]
+    fn account_lanes_gap(&mut self, seconds: u64) {
+        for lane in &mut self.lanes {
+            let p = &lane.snapshot;
+            lane.energy_j += seconds as f64 * p.system_w;
+            lane.power_stats.push_n(p.system_w, seconds);
+            lane.loss_stats.push_n(p.loss_w, seconds);
+            lane.eff_stats.push_n(p.efficiency, seconds);
+        }
     }
 
     /// Forward the held snapshot (and `wb`) across the FMI boundary.
@@ -1272,24 +1434,39 @@ impl RapsSimulation {
 
     /// Build the §III-B5 run report.
     pub fn report(&self) -> RunReport {
+        let o = &self.state.outputs;
+        self.report_with(&self.state.cfg, o.energy_j, o.power_stats, o.loss_stats, o.eff_stats)
+    }
+
+    /// The run report with the power side — tariffs, energy, and the
+    /// power, loss and efficiency statistics — taken from the arguments,
+    /// so a lane reports through the same arithmetic as the kernel.
+    fn report_with(
+        &self,
+        cfg: &SystemConfig,
+        energy_j: f64,
+        power_stats: Welford,
+        loss_stats: Welford,
+        eff_stats: Welford,
+    ) -> RunReport {
         let s = &self.state;
         let secs = s.clock.elapsed();
         let hours = secs as f64 / 3600.0;
-        let energy_mwh = s.outputs.energy_j / 3.6e9;
-        let avg_power_mw = s.outputs.power_stats.mean() / 1e6;
-        let avg_loss_mw = s.outputs.loss_stats.mean() / 1e6;
-        let eta = s.outputs.eff_stats.mean();
-        let costs = s.cfg.costs;
+        let energy_mwh = energy_j / 3.6e9;
+        let avg_power_mw = power_stats.mean() / 1e6;
+        let avg_loss_mw = loss_stats.mean() / 1e6;
+        let eta = eff_stats.mean();
+        let costs = cfg.costs;
         RunReport {
             sim_seconds: secs,
             jobs_completed: s.completed,
             jobs_unfinished: (s.running.len() + s.pending.len() + s.future.len()) as u64,
             throughput_jobs_per_hour: if hours > 0.0 { s.completed as f64 / hours } else { 0.0 },
             avg_power_mw,
-            max_power_mw: s.outputs.power_stats.max() / 1e6,
+            max_power_mw: power_stats.max() / 1e6,
             total_energy_mwh: energy_mwh,
             avg_loss_mw,
-            max_loss_mw: s.outputs.loss_stats.max() / 1e6,
+            max_loss_mw: loss_stats.max() / 1e6,
             loss_percent: if avg_power_mw > 0.0 { 100.0 * avg_loss_mw / avg_power_mw } else { 0.0 },
             efficiency: eta,
             co2_tons: RunReport::co2_for(&costs, energy_mwh, eta),

@@ -8,9 +8,14 @@
 //! perturbs them over an ensemble, replays the same workload, and reports
 //! confidence bands on the headline outputs.
 //!
-//! [`run_ensemble`] replays every member from t = 0 on the runner it is
-//! given (seed and pool width). The twin service's UQ draws start from a
-//! snapshot instead and share only [`perturb_config`] with this module.
+//! A perturbation changes only the conversion chain and the component
+//! ratings, and the scheduler never reads power, so every member shares
+//! one schedule. [`run_ensemble`] therefore replays from t = 0 once per
+//! chunk of members on the runner it is given (seed and pool width), the
+//! chunk's other members riding along as power lanes
+//! ([`RapsSimulation::run_until_with_lanes`]). The twin service's UQ
+//! draws start from a snapshot instead and share only [`perturb_config`]
+//! with this module.
 
 use crate::config::SystemConfig;
 use crate::job::Job;
@@ -96,11 +101,14 @@ pub fn perturb_config(cfg: &SystemConfig, pert: &UqPerturbations, rng: &mut Rng)
 }
 
 /// Run a Monte-Carlo ensemble: `members` perturbed replicas replay the same
-/// `jobs` for `horizon_s` seconds, batched across the thread-pool executor
-/// (mirroring the paper's parallel replay on a Frontier node). The runner
-/// supplies the seed and the pool width: member `i` draws its perturbation
-/// from the runner's stream `i`, so output is bit-identical for every
-/// width (the percentile reductions fold members in index order).
+/// `jobs` for `horizon_s` seconds, in `min(members, width)` chunks batched
+/// across the thread-pool executor (mirroring the paper's parallel replay
+/// on a Frontier node). Each chunk schedules once: its first member is the
+/// simulation's own power model and the rest are power lanes, each
+/// bit-identical to a replay of its own. The runner supplies the seed and
+/// the pool width: member `i` draws its perturbation from the runner's
+/// stream `i`, so output is bit-identical for every width (the percentile
+/// reductions fold members in index order).
 pub fn run_ensemble(
     runner: &EnsembleRunner,
     cfg: &SystemConfig,
@@ -110,19 +118,26 @@ pub fn run_ensemble(
     pert: &UqPerturbations,
 ) -> UqSummary {
     assert!(members >= 2, "an ensemble needs at least two members");
-    let raw: Vec<EnsembleMember> = runner.run_draws(members, |ctx| {
-        let member_cfg = perturb_config(cfg, pert, &mut ctx.rng);
-        let mut sim =
-            RapsSimulation::new(member_cfg, PowerDelivery::StandardAC, Policy::FirstFit, 60);
+    let chunks = runner.run_chunks(members, |ctxs| {
+        let mut models = ctxs
+            .iter_mut()
+            .map(|ctx| (perturb_config(cfg, pert, &mut ctx.rng), PowerDelivery::StandardAC));
+        let (first, delivery) = models.next().expect("a chunk holds at least one member");
+        let mut sim = RapsSimulation::new(first, delivery, Policy::FirstFit, 60);
         sim.submit_jobs(jobs.to_vec());
-        sim.run_until(horizon_s).expect("no cooling attached, cannot fail");
-        let r = sim.report();
-        EnsembleMember {
-            avg_power_mw: r.avg_power_mw,
-            avg_loss_mw: r.avg_loss_mw,
-            energy_mwh: r.total_energy_mwh,
-        }
+        let lanes = sim
+            .run_until_with_lanes(horizon_s, models.collect())
+            .expect("no cooling attached, and perturbations keep the machine");
+        std::iter::once(sim.report())
+            .chain(lanes)
+            .map(|r| EnsembleMember {
+                avg_power_mw: r.avg_power_mw,
+                avg_loss_mw: r.avg_loss_mw,
+                energy_mwh: r.total_energy_mwh,
+            })
+            .collect::<Vec<_>>()
     });
+    let raw: Vec<EnsembleMember> = chunks.into_iter().flatten().collect();
 
     let powers: Vec<f64> = raw.iter().map(|m| m.avg_power_mw).collect();
     let losses: Vec<f64> = raw.iter().map(|m| m.avg_loss_mw).collect();

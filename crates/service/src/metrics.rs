@@ -252,6 +252,10 @@ impl ServiceObs {
                 "exadigit_kernel_samples_backfilled_total",
                 "Output samples materialised by closed-form backfill",
             ),
+            power_lanes: registry.counter(
+                "exadigit_kernel_power_lanes_total",
+                "Power models carried as lanes over another's schedule, one per lane per run",
+            ),
         };
         ServiceObs {
             registry,
@@ -382,10 +386,12 @@ mod tests {
         let obs = ServiceObs::new();
         obs.requests_total[request_kind(&Request::Status)].inc();
         obs.kernel.gaps_batched.inc();
+        obs.kernel.power_lanes.add(3);
         obs.cache.hits.inc();
         let text = obs.registry.render_prometheus();
         assert!(text.contains("exadigit_requests_total{type=\"Status\"} 1"), "{text}");
         assert!(text.contains("exadigit_kernel_gaps_batched_total 1"), "{text}");
+        assert!(text.contains("exadigit_kernel_power_lanes_total 3"), "{text}");
         assert!(text.contains("exadigit_cache_hits_total 1"), "{text}");
         assert!(text.contains("exadigit_request_seconds_bucket"), "{text}");
         // Live-state gauges are derived from a status at collection, not

@@ -7,8 +7,11 @@
 //! injections, fidelity swaps (any [`CoolingBackend`], so an expensive
 //! L4 snapshot can answer cheap L3-surrogate queries), and Monte-Carlo
 //! UQ ensembles over the power-model parameters (`draws > 1`, one
-//! configured base fork whose recorded history every draw shares by
-//! refcount, per-draw RNG streams split from the snapshot seed).
+//! configured base fork, per-draw RNG streams split from the snapshot
+//! seed). A perturbation cannot change the schedule, so on a power-only
+//! fork the draws share it: each chunk of draws runs one fork with the
+//! other draws as power lanes. Draws under a cooling model still fork
+//! one by one, because the plant's response depends on power.
 //!
 //! Every query costs O(horizon): the fork resumes from the snapshot
 //! second instead of replaying from t = 0. Outcomes report *marginal*
@@ -23,8 +26,9 @@ use exadigit_core::twin::DigitalTwin;
 use exadigit_raps::job::Job;
 use exadigit_raps::power::PowerDelivery;
 use exadigit_raps::simulation::CoolingCoupling;
+use exadigit_raps::stats::RunReport;
 use exadigit_raps::uq::{self, UqPerturbations};
-use exadigit_sim::ensemble::EnsembleRunner;
+use exadigit_sim::ensemble::{EnsembleRunner, ScenarioCtx};
 use exadigit_sim::{Rng, TimeSeries};
 use serde::{Deserialize, Serialize};
 
@@ -82,8 +86,12 @@ impl WhatIfSpec {
     /// Bound a spec that arrived over the wire before it reaches a fork:
     /// the horizon and draw caps keep a handler thread from wedging, and
     /// the float knobs must be finite (a JSON `null` decodes to NaN, which
-    /// every comparison ignores, and `1e999` to infinity), with the UQ
-    /// σs also non-negative.
+    /// every comparison ignores, and `1e999` to infinity). The UQ σs must
+    /// also be non-negative and within caps that keep every draw
+    /// physical: at `component_power_rel` = 0.25 a negative rating is
+    /// already a 4-σ draw, and `perturb_config` clamps each efficiency to
+    /// a band about 0.1 wide, so an efficiency σ above 0.05 only piles
+    /// draws onto the band's edges.
     pub fn validate(&self) -> Result<(), String> {
         const MAX_HORIZON_S: u64 = 366 * 86_400;
         const MAX_DRAWS: u64 = 4_096;
@@ -108,14 +116,17 @@ impl WhatIfSpec {
             finite("wet_bulb_c", c)?;
         }
         let p = &self.perturbations;
-        for (name, sigma) in [
-            ("perturbations.rectifier_eff_abs", p.rectifier_eff_abs),
-            ("perturbations.sivoc_eff_abs", p.sivoc_eff_abs),
-            ("perturbations.component_power_rel", p.component_power_rel),
+        for (name, sigma, cap) in [
+            ("perturbations.rectifier_eff_abs", p.rectifier_eff_abs, 0.05),
+            ("perturbations.sivoc_eff_abs", p.sivoc_eff_abs, 0.05),
+            ("perturbations.component_power_rel", p.component_power_rel, 0.25),
         ] {
             finite(name, sigma)?;
             if sigma < 0.0 {
                 return Err(format!("{name} is a σ and must not be negative, got {sigma}"));
+            }
+            if sigma > cap {
+                return Err(format!("{name} is {sigma}, above its cap of {cap}"));
             }
         }
         Ok(())
@@ -203,11 +214,11 @@ fn apply_overrides(twin: &mut DigitalTwin, spec: &WhatIfSpec) -> Result<(), Stri
 
 /// Fork the snapshot once and apply the spec's deterministic overrides.
 ///
-/// This is the *shared prefix* of a UQ ensemble: every draw forks from
-/// the configured twin this returns, so the override work (backend
-/// rebuild, wet-bulb remap, extra-job submission) is paid once per
-/// scenario and the recorded history stays refcount-shared across all
-/// draws instead of being copied `draws` times.
+/// This is the *shared prefix* of a UQ ensemble: every chunk of draws
+/// (or, under cooling, every draw) forks from the configured twin this
+/// returns, so the override work (backend rebuild, wet-bulb remap,
+/// extra-job submission) is paid once per scenario and the recorded
+/// history stays refcount-shared instead of being copied per fork.
 fn configured_fork(snapshot: &TwinSnapshot, spec: &WhatIfSpec) -> Result<DigitalTwin, String> {
     let mut twin = snapshot.fork()?;
     apply_overrides(&mut twin, spec)?;
@@ -227,23 +238,58 @@ fn run_fork(
     }
     let r0 = twin.report();
     twin.run(spec.horizon_s).map_err(|e| format!("fork run failed: {e}"))?;
-    let r1 = twin.report();
+    Ok(marginal(&twin, spec, &r0, &twin.report()))
+}
+
+/// Run a chunk of power-only draws over one schedule: one fork of `base`
+/// takes the first draw's perturbed model as its own and carries the
+/// rest as power lanes. Each draw's numbers are bit-identical to
+/// [`run_fork`] of a fork of its own with its own stream.
+fn run_lanes(
+    base: &DigitalTwin,
+    spec: &WhatIfSpec,
+    draws: &mut [ScenarioCtx],
+) -> Result<Vec<ForkRun>, String> {
+    let delivery = base.config.delivery;
+    let perturb = |d: &mut ScenarioCtx| {
+        (uq::perturb_config(&base.config.system, &spec.perturbations, &mut d.rng), delivery)
+    };
+    let mut lanes: Vec<_> = draws.iter_mut().map(perturb).collect();
+    let (own, _) = lanes.remove(0);
+    let mut twin = base.fork()?;
+    twin.raps_mut().set_power_model(own, delivery)?;
+    let r0 = twin.report();
+    let horizon = twin.now() + spec.horizon_s;
+    let lanes = twin
+        .raps_mut()
+        .run_until_with_lanes(horizon, lanes)
+        .map_err(|e| format!("fork run failed: {e}"))?;
+    let own = twin.report();
+    Ok(std::iter::once(&own).chain(&lanes).map(|r1| marginal(&twin, spec, &r0, r1)).collect())
+}
+
+/// The marginal numbers of a run over `spec`'s horizon that went from
+/// report `r0` to `r1` and ended on `twin`.
+fn marginal(twin: &DigitalTwin, spec: &WhatIfSpec, r0: &RunReport, r1: &RunReport) -> ForkRun {
     let hours = spec.horizon_s as f64 / 3_600.0;
     let energy_mwh = r1.total_energy_mwh - r0.total_energy_mwh;
-    Ok(ForkRun {
+    ForkRun {
         jobs_completed: r1.jobs_completed - r0.jobs_completed,
         avg_power_mw: if hours > 0.0 { energy_mwh / hours } else { 0.0 },
         energy_mwh,
         final_pue: twin.cooling_output("pue"),
         final_utilization: twin.utilization(),
-    })
+    }
 }
 
 /// Answer a what-if from a snapshot: fork, apply the overrides, advance
-/// the horizon, and report marginal outcomes. `draws > 1` fans that many
-/// forks across the pool (`threads`, `None` = process default) with
-/// per-fork RNG streams split from the snapshot seed — bit-identical at
-/// any pool width, which is what makes the response cacheable.
+/// the horizon, and report marginal outcomes. `draws > 1` perturbs the
+/// power model once per draw, with per-draw RNG streams split from the
+/// snapshot seed, across the pool (`threads`, `None` = process default):
+/// power-only draws run as `min(draws, width)` chunks of one fork each,
+/// the chunk's other draws riding along as power lanes, and cooled draws
+/// fork one by one. Either way the answer is bit-identical to one fork
+/// per draw, at any pool width, which is what makes it cacheable.
 pub fn run_whatif(
     snapshot: &TwinSnapshot,
     spec: &WhatIfSpec,
@@ -255,8 +301,9 @@ pub fn run_whatif(
         job.validate(&snapshot.twin().config.system)?;
     }
     let (from_s, to_s) = (snapshot.taken_at_s, snapshot.taken_at_s + spec.horizon_s);
+    let base = configured_fork(snapshot, spec)?;
     if spec.draws <= 1 {
-        let run = run_fork(configured_fork(snapshot, spec)?, spec, None)?;
+        let run = run_fork(base, spec, None)?;
         return Ok(WhatIfOutcome {
             label: spec.label.clone(),
             from_s,
@@ -278,17 +325,21 @@ pub fn run_whatif(
     // scenario fingerprint, so the same question always draws the same
     // perturbations (cache coherence) while distinct scenarios and
     // snapshots stay independent. The scenario overrides are applied to
-    // ONE base fork; each draw then forks that shared prefix (a refcount
-    // bump per recorded series) and pays only for its own perturbed run.
-    let base = configured_fork(snapshot, spec)?;
+    // ONE base fork, which every chunk (or cooled draw) forks in turn.
     let seed = snapshot.seed ^ crate::cache::scenario_fingerprint(spec);
     let mut runner = EnsembleRunner::new(seed);
     if let Some(n) = threads {
         runner = runner.threads(n);
     }
-    let runs: Vec<Result<ForkRun, String>> =
-        runner.run_draws(spec.draws as usize, |ctx| run_fork(base.fork()?, spec, Some(&mut ctx.rng)));
-    let runs: Vec<ForkRun> = runs.into_iter().collect::<Result<_, _>>()?;
+    let draws = spec.draws as usize;
+    let runs: Vec<ForkRun> = if base.raps().cooling_model().is_some() {
+        let runs = runner.run_draws(draws, |ctx| run_fork(base.fork()?, spec, Some(&mut ctx.rng)));
+        runs.into_iter().collect::<Result<_, _>>()?
+    } else {
+        let chunks = runner.run_chunks(draws, |chunk| run_lanes(&base, spec, chunk));
+        let chunks: Vec<Vec<ForkRun>> = chunks.into_iter().collect::<Result<_, _>>()?;
+        chunks.into_iter().flatten().collect()
+    };
 
     // Sample std via the workspace accumulator, so `power_std_mw` means
     // the same thing here as in `exadigit_raps::uq::UqSummary`.
@@ -385,6 +436,27 @@ mod tests {
         for spec in &bad {
             assert!(spec.validate().is_err(), "{spec:?} must be refused");
         }
+        // Each σ is capped, and the refusal names the field and the cap.
+        let at_caps = UqPerturbations {
+            rectifier_eff_abs: 0.05,
+            sivoc_eff_abs: 0.05,
+            component_power_rel: 0.25,
+        };
+        let capped = |perturbations| WhatIfSpec { perturbations, ..WhatIfSpec::default() };
+        assert!(capped(at_caps).validate().is_ok());
+        let over = [
+            ("rectifier_eff_abs", "0.05", UqPerturbations { rectifier_eff_abs: 0.0501, ..at_caps }),
+            ("sivoc_eff_abs", "0.05", UqPerturbations { sivoc_eff_abs: 0.0501, ..at_caps }),
+            (
+                "component_power_rel",
+                "0.25",
+                UqPerturbations { component_power_rel: 0.2501, ..at_caps },
+            ),
+        ];
+        for (field, cap, perturbations) in over {
+            let e = capped(perturbations).validate().expect_err(field);
+            assert!(e.contains(field) && e.contains(cap), "{e}");
+        }
         // A zero σ is a valid (degenerate) ensemble; negative offsets and
         // sub-zero wet bulbs are valid weather.
         let fine = WhatIfSpec {
@@ -471,6 +543,83 @@ mod tests {
         assert!(run_whatif(&snap, &huge_horizon, Some(1)).is_err());
         let huge_draws = WhatIfSpec { draws: u64::MAX, horizon_s: 60, ..WhatIfSpec::default() };
         assert!(run_whatif(&snap, &huge_draws, Some(1)).is_err());
+    }
+
+    /// FNV-1a-64 over the little-endian bytes of every value's `to_bits`.
+    fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Every number of an outcome, the integers as f64.
+    fn outcome_numbers(o: &WhatIfOutcome) -> Vec<f64> {
+        let mut v = vec![
+            o.from_s as f64,
+            o.to_s as f64,
+            o.jobs_completed as f64,
+            o.avg_power_mw,
+            o.power_std_mw,
+            o.energy_mwh,
+            o.energy_std_mwh,
+            o.final_pue.unwrap_or(f64::NAN),
+            o.final_utilization,
+            o.draws as f64,
+        ];
+        v.extend(&o.draw_avg_power_mw);
+        v.extend(&o.draw_energy_mwh);
+        v
+    }
+
+    /// UQ answers pinned to the bit, as the per-draw fork path answered
+    /// them: 16 plain draws, 5 draws under a delivery swap with an extra
+    /// job, and 2 draws under an L2 replay backend (which keep forking).
+    #[test]
+    fn uq_answers_hold_their_pins() {
+        const PIN_UQ16: u64 = 0x2f35_f0b4_abb6_5075;
+        const PIN_UQ5_DELIVERY_EXTRA: u64 = 0xffa0_d141_4e4d_e3a1;
+        const PIN_UQ2_REPLAY: u64 = 0x2006_8703_9ac9_1ae9;
+        let (_store, snap) = snapshot_at(300);
+        let specs = [
+            (WhatIfSpec { label: "uq16".into(), draws: 16, ..WhatIfSpec::default() }, PIN_UQ16),
+            (
+                WhatIfSpec {
+                    label: "uq5".into(),
+                    horizon_s: 2_400,
+                    draws: 5,
+                    delivery: Some(PowerDelivery::SmartRectifiers),
+                    extra_jobs: vec![Job::new(99, "surge", 1_024, 1_200, 0, 0.9, 0.95)],
+                    ..WhatIfSpec::default()
+                },
+                PIN_UQ5_DELIVERY_EXTRA,
+            ),
+            (
+                WhatIfSpec {
+                    label: "uq2".into(),
+                    horizon_s: 900,
+                    draws: 2,
+                    backend: Some(CoolingBackend::Replay(CoolingTrace::constant(1.0625, 5.0e5))),
+                    ..WhatIfSpec::default()
+                },
+                PIN_UQ2_REPLAY,
+            ),
+        ];
+        let mut moved = Vec::new();
+        for (spec, expected) in specs {
+            for width in [1, 3] {
+                let out = run_whatif(&snap, &spec, Some(width)).unwrap();
+                let pin = fnv_bits(outcome_numbers(&out));
+                if pin != expected {
+                    moved.push(format!("{} at width {width}: {pin:#018x}", spec.label));
+                }
+            }
+        }
+        assert!(moved.is_empty(), "UQ answers moved: {moved:?}");
     }
 
     #[test]

@@ -603,7 +603,10 @@ impl TwinService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exadigit_core::config::CoolingBackend;
     use exadigit_raps::job::{Job, UtilTrace};
+    use exadigit_raps::uq::UqPerturbations;
+    use exadigit_telemetry::replay::CoolingTrace;
 
     fn service() -> TwinService {
         let config = TwinConfig::frontier_power_only();
@@ -752,6 +755,96 @@ mod tests {
         }
         let Response::Status(s) = svc.handle(&Request::Status) else { panic!() };
         assert_eq!(s.cache_entries, 0, "a refused spec must not be cached");
+    }
+
+    #[test]
+    fn power_only_uq_counts_its_lanes_and_cooled_uq_counts_none() {
+        // 16 draws make one chunk of 15 lanes at width 1, four chunks of
+        // 3 lanes at width 4; cooled draws fork and carry no lanes.
+        for (width, lanes) in [(1, 15), (4, 12)] {
+            let svc = service().with_threads(width);
+            svc.handle(&Request::Advance { seconds: 600 });
+            let Response::SnapshotTaken(info) =
+                svc.handle(&Request::Snapshot { label: "base".into() })
+            else {
+                panic!()
+            };
+            let counted = || svc.obs().kernel.power_lanes.get();
+            let power_only = WhatIfSpec { horizon_s: 300, draws: 16, ..WhatIfSpec::default() };
+            let before = counted();
+            let r = svc.handle(&Request::Query { snapshot_id: info.id, spec: power_only });
+            assert!(matches!(r, Response::Answer { cached: false, .. }), "{r:?}");
+            assert_eq!(counted() - before, lanes, "width {width}");
+            let cooled = WhatIfSpec {
+                horizon_s: 300,
+                draws: 2,
+                backend: Some(CoolingBackend::Replay(CoolingTrace::constant(1.0625, 5.0e5))),
+                ..WhatIfSpec::default()
+            };
+            let before = counted();
+            let r = svc.handle(&Request::Query { snapshot_id: info.id, spec: cooled });
+            assert!(matches!(r, Response::Answer { cached: false, .. }), "{r:?}");
+            assert_eq!(counted(), before, "width {width}: cooled draws fork");
+        }
+    }
+
+    #[test]
+    fn a_huge_uq_sigma_is_an_error_and_not_cached() {
+        // Uncapped, a component σ of 1e300 answered NaN MW (with infinite
+        // per-draw powers) and cached it; 10 answered a draw below the
+        // machine's idle floor.
+        let svc = service();
+        svc.handle(&Request::Advance { seconds: 3_600 });
+        let Response::SnapshotTaken(info) =
+            svc.handle(&Request::Snapshot { label: "base".into() })
+        else {
+            panic!()
+        };
+        for sigma in [1e300, 1e10, 10.0] {
+            let spec = WhatIfSpec {
+                draws: 4,
+                perturbations: UqPerturbations { component_power_rel: sigma, ..Default::default() },
+                ..WhatIfSpec::default()
+            };
+            let r = svc.handle(&Request::Query { snapshot_id: info.id, spec });
+            let Response::Error { message } = &r else { panic!("σ {sigma}: {r:?}") };
+            assert!(message.contains("component_power_rel"), "{message}");
+        }
+        let Response::Status(s) = svc.handle(&Request::Status) else { panic!() };
+        assert_eq!(s.cache_entries, 0, "a refused spec must not be cached");
+    }
+
+    #[test]
+    fn the_largest_ensemble_at_the_sigma_caps_answers_finite_numbers() {
+        let svc = service();
+        svc.handle(&Request::Advance { seconds: 3_600 });
+        let Response::SnapshotTaken(info) =
+            svc.handle(&Request::Snapshot { label: "base".into() })
+        else {
+            panic!()
+        };
+        let spec = WhatIfSpec {
+            horizon_s: 60,
+            draws: 4_096,
+            perturbations: UqPerturbations {
+                rectifier_eff_abs: 0.05,
+                sivoc_eff_abs: 0.05,
+                component_power_rel: 0.25,
+            },
+            ..WhatIfSpec::default()
+        };
+        let r = svc.handle(&Request::Query { snapshot_id: info.id, spec });
+        let Response::Answer { outcome: o, .. } = &r else { panic!("{r:?}") };
+        assert_eq!(o.draw_avg_power_mw.len(), 4_096);
+        let scalars = [o.avg_power_mw, o.power_std_mw, o.energy_mwh, o.energy_std_mwh];
+        let every = scalars
+            .into_iter()
+            .chain([o.final_utilization])
+            .chain(o.draw_avg_power_mw.iter().copied())
+            .chain(o.draw_energy_mwh.iter().copied());
+        for v in every {
+            assert!(v.is_finite(), "{v} in {o:?}");
+        }
     }
 
     /// A what-if whose one extra job is `job` must answer an `Error`

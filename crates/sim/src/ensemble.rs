@@ -128,6 +128,30 @@ impl EnsembleRunner {
     {
         self.map((0..n).collect(), |ctx, _| f(ctx))
     }
+
+    /// Batch `n` draws as `min(n, width)` contiguous chunks of near-equal
+    /// size, one call of `f` per chunk, so the draws of a chunk can share
+    /// work (one schedule carrying several power models). `f` receives
+    /// the chunk's contexts in index order, draw `i` with stream
+    /// `split(i)` exactly as in [`EnsembleRunner::run_draws`]; the chunks'
+    /// results come back in chunk order, which is index order. Output is
+    /// bit-identical at every width as long as each draw's share of a
+    /// chunk's result depends only on its own context.
+    pub fn run_chunks<R, F>(&self, n: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut [ScenarioCtx]) -> R + Sync,
+    {
+        let base = Rng::new(self.seed);
+        let chunks = self.effective_threads().min(n);
+        let ranges = (0..chunks).map(|c| c * n / chunks..(c + 1) * n / chunks).collect();
+        self.map(ranges, |_, range| {
+            let mut ctxs: Vec<ScenarioCtx> = range
+                .map(|index| ScenarioCtx { index, rng: base.split(index as u64) })
+                .collect();
+            f(&mut ctxs)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +230,24 @@ mod tests {
         for (sp, temp_c) in &settled {
             assert!((temp_c - sp).abs() < 1e-3, "setpoint {sp} settled at {temp_c}");
         }
+    }
+
+    #[test]
+    fn chunks_cover_every_draw_once_with_its_own_stream() {
+        let draw = |ctx: &mut ScenarioCtx| (ctx.index, ctx.rng.normal(0.0, 1.0).to_bits());
+        let reference = EnsembleRunner::new(11).threads(1).run_draws(10, draw);
+        for width in [1usize, 2, 3, 4, 16] {
+            let chunks = EnsembleRunner::new(11)
+                .threads(width)
+                .run_chunks(10, |ctxs| ctxs.iter_mut().map(draw).collect::<Vec<_>>());
+            assert_eq!(chunks.len(), width.min(10), "width {width}");
+            let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(hi - lo <= 1, "width {width}: uneven chunks {sizes:?}");
+            assert_eq!(chunks.concat(), reference, "width {width}");
+        }
+        let none: Vec<Vec<usize>> = EnsembleRunner::new(0).run_chunks(0, |c| vec![c.len()]);
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn uq_64_draws_bit_identical_on_1_and_n_threads() {
         .chain(seq.raw.iter().flat_map(|m| [m.avg_power_mw, m.avg_loss_mw, m.energy_mwh])),
     );
     assert_eq!(pin, PIN_UQ_SUMMARY, "UQ summary moved: {pin:#018x}");
-    for width in [2usize, 4, 8] {
+    for width in [2usize, 3, 4, 8] {
         let par = run_uq(width);
         assert_bits_identical(&seq, &par, width);
     }

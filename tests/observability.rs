@@ -9,6 +9,7 @@
 use exadigit_core::online::OnlineSurrogateConfig;
 use exadigit_core::{CoolingBackend, DigitalTwin, TwinConfig};
 use exadigit_raps::metrics::KernelMetrics;
+use exadigit_raps::power::PowerDelivery;
 use exadigit_raps::stats::RunReport;
 use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
 use proptest::prelude::*;
@@ -41,6 +42,15 @@ fn run_recorded(
     let mut generator = WorkloadGenerator::new(WorkloadParams::default(), seed);
     twin.submit(generator.generate_day(0));
 
+    contend(&metrics, &wiring, || twin.run(horizon).unwrap());
+
+    let pue = twin.cooling_output("pue");
+    (twin.report(), twin.outputs().system_power_w.to_vec(), pue, metrics)
+}
+
+/// Run `work`; under [`Wiring::Contended`], with contender threads
+/// incrementing and reading the shared atomics the whole time.
+fn contend<R>(metrics: &KernelMetrics, wiring: &Wiring, work: impl FnOnce() -> R) -> R {
     let stop = Arc::new(AtomicBool::new(false));
     let contenders: Vec<_> = if matches!(wiring, Wiring::Contended) {
         (0..3)
@@ -56,6 +66,7 @@ fn run_recorded(
                         shared.job_arrivals.inc();
                         shared.gaps_batched.inc();
                         shared.samples_backfilled.add(7);
+                        shared.power_lanes.inc();
                         checksum = checksum
                             .wrapping_add(shared.job_arrivals.get())
                             .wrapping_add(shared.cooling_quanta.get());
@@ -69,15 +80,12 @@ fn run_recorded(
     } else {
         Vec::new()
     };
-
-    twin.run(horizon).unwrap();
+    let out = work();
     stop.store(true, Ordering::Relaxed);
     for handle in contenders {
         assert!(handle.join().unwrap() > 0, "contenders really ran");
     }
-
-    let pue = twin.cooling_output("pue");
-    (twin.report(), twin.outputs().system_power_w.to_vec(), pue, metrics)
+    out
 }
 
 fn assert_bit_identical(label: &str, a: &[f64], b: &[f64]) {
@@ -136,6 +144,40 @@ fn online_cooling_twin_is_bit_identical_across_metric_wirings() {
     assert_pue_bit_identical("contended", pue_off, pue_hot);
 
     assert!(metrics.cooling_quanta.get() + metrics.cooled_quanta_batched.get() > 0);
+}
+
+/// Power lanes are diagnostics-inert too: a lane run under every wiring
+/// returns the same kernel and lane reports and the same series, and the
+/// attached counters count each lane once.
+#[test]
+fn lane_runs_are_bit_identical_across_metric_wirings() {
+    let run = |wiring: Wiring| {
+        let mut twin = DigitalTwin::new(TwinConfig::frontier_power_only()).unwrap();
+        let metrics = KernelMetrics::new();
+        if !matches!(wiring, Wiring::Detached) {
+            twin.set_kernel_metrics(metrics.clone());
+        }
+        twin.submit(WorkloadGenerator::new(WorkloadParams::default(), 23).generate_day(0));
+        let system = twin.config.system.clone();
+        let lanes = vec![
+            (system.clone(), PowerDelivery::SmartRectifiers),
+            (system, PowerDelivery::Direct380Vdc),
+        ];
+        let lane_reports =
+            contend(&metrics, &wiring, || twin.raps_mut().run_until_with_lanes(5_400, lanes));
+        let lane_reports = lane_reports.unwrap();
+        (twin.report(), lane_reports, twin.outputs().system_power_w.to_vec(), metrics)
+    };
+    let (r_off, lanes_off, p_off, _) = run(Wiring::Detached);
+    let (r_on, lanes_on, p_on, metrics) = run(Wiring::Attached);
+    let (r_hot, lanes_hot, p_hot, _) = run(Wiring::Contended);
+    assert_eq!(r_off, r_on);
+    assert_eq!(r_off, r_hot);
+    assert_eq!(lanes_off, lanes_on);
+    assert_eq!(lanes_off, lanes_hot);
+    assert_bit_identical("attached", &p_off, &p_on);
+    assert_bit_identical("contended", &p_off, &p_hot);
+    assert_eq!(metrics.power_lanes.get(), 2, "one count per lane per run");
 }
 
 proptest! {

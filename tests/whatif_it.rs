@@ -5,6 +5,7 @@ use exadigit_core::whatif::{
 };
 use exadigit_cooling::PlantSpec;
 use exadigit_raps::config::SystemConfig;
+use exadigit_raps::job::Job;
 use exadigit_raps::power::PowerDelivery;
 use exadigit_raps::scheduler::Policy;
 use exadigit_raps::workload::{WorkloadGenerator, WorkloadParams};
@@ -57,6 +58,21 @@ fn delivery_numbers(study: &PowerDeliveryStudy) -> Vec<f64> {
     v
 }
 
+/// Run the delivery study at pool widths 1, 3 and 8 — one schedule
+/// carrying two power lanes, then one schedule per variant — and hold
+/// every width to the same pin.
+fn study_at_widths(cfg: &SystemConfig, jobs: &[Job], expected: u64) -> PowerDeliveryStudy {
+    let studies = [1, 3, 8].map(|width| {
+        let study =
+            rayon::with_threads(width, || PowerDeliveryStudy::run(cfg, jobs, 7_200, Policy::FirstFit));
+        let pin = fnv_bits(delivery_numbers(&study));
+        assert_eq!(pin, expected, "delivery study moved at width {width}: {pin:#018x}");
+        study
+    });
+    let [study, ..] = studies;
+    study
+}
+
 /// Every number of a blockage report.
 fn blockage_numbers(report: &BlockageReport) -> Vec<f64> {
     let mut v = report.flows_m3s.clone();
@@ -73,9 +89,7 @@ fn dc380_study_reproduces_paper_shape() {
     let mut generator = WorkloadGenerator::new(WorkloadParams::default(), 11);
     let jobs: Vec<_> =
         generator.generate_day(0).into_iter().filter(|j| j.submit_time_s < 7_200).collect();
-    let study = PowerDeliveryStudy::run(&cfg, &jobs, 7_200, Policy::FirstFit);
-    let pin = fnv_bits(delivery_numbers(&study));
-    assert_eq!(pin, PIN_DC380_STUDY, "delivery study moved: {pin:#018x}");
+    let study = study_at_widths(&cfg, &jobs, PIN_DC380_STUDY);
 
     let eff_base = study.baseline().report.efficiency;
     let eff_dc = study.outcome(PowerDelivery::Direct380Vdc).report.efficiency;
@@ -103,9 +117,7 @@ fn smart_rectifiers_modest_but_positive() {
     let mut generator = WorkloadGenerator::new(WorkloadParams::default(), 13);
     let jobs: Vec<_> =
         generator.generate_day(0).into_iter().filter(|j| j.submit_time_s < 7_200).collect();
-    let study = PowerDeliveryStudy::run(&cfg, &jobs, 7_200, Policy::FirstFit);
-    let pin = fnv_bits(delivery_numbers(&study));
-    assert_eq!(pin, PIN_SMART_STUDY, "delivery study moved: {pin:#018x}");
+    let study = study_at_widths(&cfg, &jobs, PIN_SMART_STUDY);
 
     let gain = study.efficiency_gain_points(PowerDelivery::SmartRectifiers);
     assert!(gain > 0.0, "smart rectifiers must help: {gain}");
