@@ -23,16 +23,6 @@ pub fn section(title: &str) {
     println!("└{}┘", "─".repeat(width));
 }
 
-/// One "paper vs measured" comparison row.
-pub fn compare_row(label: &str, paper: f64, ours: f64, unit: &str) {
-    let err = if paper.abs() > f64::EPSILON {
-        format!("{:+6.1} %", 100.0 * (ours - paper) / paper)
-    } else {
-        "      —".to_string()
-    };
-    println!("  {label:<38} paper {paper:>10.2} {unit:<6} ours {ours:>10.2} {unit:<6} {err}");
-}
-
 /// Parse `--flag value` style integer arguments (tiny, no deps).
 pub fn arg_u64(flag: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();

@@ -78,6 +78,20 @@ impl CoolingBackend {
         }
     }
 
+    /// Check a backend that may have come off the wire (a what-if spec or
+    /// a loaded save) before anything builds it, each payload by its own
+    /// type's check.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            CoolingBackend::None
+            | CoolingBackend::Plant
+            | CoolingBackend::Surrogate(SurrogateSource::TrainDefault) => Ok(()),
+            CoolingBackend::Surrogate(SurrogateSource::Fitted(surrogate)) => surrogate.validate(),
+            CoolingBackend::Online(config) => config.validate(),
+            CoolingBackend::Replay(trace) => trace.validate(),
+        }
+    }
+
     /// Whether building this backend instantiates the transient plant
     /// model from [`TwinConfig::plant`] (and therefore requires the
     /// system/plant CDU counts to agree).
@@ -208,13 +222,15 @@ impl TwinConfig {
         serde_json::from_str(s)
     }
 
-    /// Cross-validate the pieces. The system/plant CDU-count match is
+    /// Cross-validate the pieces, the cooling backend's payload included
+    /// ([`CoolingBackend::validate`]). The system/plant CDU-count match is
     /// only enforced when the selected backend actually instantiates the
     /// plant: a surrogate or replay backend exposes whatever number of
     /// heat inputs the system asks for, so a mismatched (or vestigial)
     /// plant spec is not an error there.
     pub fn validate(&self) -> Result<(), String> {
         self.plant.validate()?;
+        self.cooling.validate()?;
         if self.cooling.attaches_plant() && self.system.cooling.num_cdus != self.plant.num_cdus {
             return Err(format!(
                 "system has {} CDUs but the plant models {}",

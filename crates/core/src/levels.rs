@@ -34,15 +34,6 @@ pub enum TwinLevel {
 }
 
 impl TwinLevel {
-    /// All levels in ascending maturity.
-    pub const ALL: [TwinLevel; 5] = [
-        TwinLevel::Descriptive,
-        TwinLevel::Informative,
-        TwinLevel::Predictive,
-        TwinLevel::Comprehensive,
-        TwinLevel::Autonomous,
-    ];
-
     /// Level index as used in the paper (L1..L5).
     pub fn index(&self) -> u8 {
         match self {
@@ -52,35 +43,6 @@ impl TwinLevel {
             TwinLevel::Comprehensive => 4,
             TwinLevel::Autonomous => 5,
         }
-    }
-
-    /// One-line description from §III of the paper.
-    pub fn description(&self) -> &'static str {
-        match self {
-            TwinLevel::Descriptive => {
-                "models the physical assets using CAD models and game engines"
-            }
-            TwinLevel::Informative => {
-                "incorporates telemetry data for real-time insights into the physical twin"
-            }
-            TwinLevel::Predictive => {
-                "utilizes telemetry data to develop data-driven AI/ML predictive models"
-            }
-            TwinLevel::Comprehensive => {
-                "leverages modeling and simulation for virtual prototyping and what-if scenarios"
-            }
-            TwinLevel::Autonomous => {
-                "learns to make autonomous decisions for system optimization"
-            }
-        }
-    }
-
-    /// Whether this reproduction implements the level. The paper covers
-    /// L1, L2 and L4 with L3/L5 as future work; here L3 is also
-    /// implemented, via the surrogate cooling backend. Only L5
-    /// (autonomous control) remains open.
-    pub fn implemented(&self) -> bool {
-        !matches!(self, TwinLevel::Autonomous)
     }
 }
 
@@ -96,21 +58,17 @@ mod tests {
 
     #[test]
     fn indices_are_one_through_five() {
-        let idx: Vec<u8> = TwinLevel::ALL.iter().map(|l| l.index()).collect();
+        let idx: Vec<u8> = [
+            TwinLevel::Descriptive,
+            TwinLevel::Informative,
+            TwinLevel::Predictive,
+            TwinLevel::Comprehensive,
+            TwinLevel::Autonomous,
+        ]
+        .iter()
+        .map(|l| l.index())
+        .collect();
         assert_eq!(idx, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn paper_coverage_pattern() {
-        // Paper: "This paper covers using L1 for visualization, L2 for
-        // validation, and L4 for modeling and simulation." This
-        // reproduction goes one further: L3 is reachable through the
-        // surrogate cooling backend. L5 remains future work.
-        assert!(TwinLevel::Descriptive.implemented());
-        assert!(TwinLevel::Informative.implemented());
-        assert!(TwinLevel::Predictive.implemented());
-        assert!(TwinLevel::Comprehensive.implemented());
-        assert!(!TwinLevel::Autonomous.implemented());
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! surrogate, an L2 telemetry replay, or none (see `docs/FIDELITY.md`),
 //! and [`whatif`] hosts the §IV-3 experiments (smart load-sharing
 //! rectifiers, 380 V DC distribution, cooling-system extension, CDU
-//! blockage injection, setpoint and weather sweeps, thermal-throttle
-//! scans); the batched studies give bit-identical results at any pool
-//! width (see `docs/ENSEMBLES.md`).
+//! blockage injection, and the fidelity-selectable PUE grid over load
+//! and wet-bulb); the batched studies give bit-identical results at any
+//! pool width (see `docs/ENSEMBLES.md`).
 //!
 //! ## Quickstart
 //!

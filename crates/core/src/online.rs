@@ -92,6 +92,31 @@ impl Default for OnlineSurrogateConfig {
     }
 }
 
+impl OnlineSurrogateConfig {
+    /// Check a config that may have come off the wire before a trainer
+    /// runs on it: every count must be at least 1 (a zero `max_samples`
+    /// divides by zero once a regime fills) and `pue_tolerance` finite
+    /// and positive.
+    pub fn validate(&self) -> Result<(), String> {
+        let tol = self.pue_tolerance;
+        if !(tol.is_finite() && tol > 0.0) {
+            return Err(format!("online pue_tolerance must be finite and positive, got {tol}"));
+        }
+        let counts = [
+            ("min_samples", self.min_samples),
+            ("max_samples", self.max_samples),
+            ("steady_steps", self.steady_steps as usize),
+            ("sample_stride", self.sample_stride as usize),
+            ("fallback_settle_steps", self.fallback_settle_steps),
+            ("refit_every", self.refit_every),
+        ];
+        match counts.into_iter().find(|&(_, n)| n == 0) {
+            Some((name, _)) => Err(format!("online {name} must be at least 1, got 0")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// A discrete staging regime: the (tower cells, HTW pumps, EHXs) staged
 /// triple [`CoolingModel::staging_key`] reports. Serialized as a struct
 /// (not a map key) so the vendored serde round-trips it verbatim.
@@ -539,6 +564,31 @@ mod tests {
             refit_every: 10,
             fallback_settle_steps: 10,
             ..OnlineSurrogateConfig::default()
+        }
+    }
+
+    #[test]
+    fn validate_refuses_zero_counts_and_a_bad_tolerance() {
+        let ok = OnlineSurrogateConfig::default();
+        ok.validate().unwrap();
+        fast_config().validate().unwrap();
+        let broken = [
+            ("pue_tolerance", OnlineSurrogateConfig { pue_tolerance: f64::NAN, ..ok.clone() }),
+            ("pue_tolerance", OnlineSurrogateConfig { pue_tolerance: 0.0, ..ok.clone() }),
+            ("pue_tolerance", OnlineSurrogateConfig { pue_tolerance: -1.0, ..ok.clone() }),
+            ("min_samples", OnlineSurrogateConfig { min_samples: 0, ..ok.clone() }),
+            ("max_samples", OnlineSurrogateConfig { max_samples: 0, ..ok.clone() }),
+            ("steady_steps", OnlineSurrogateConfig { steady_steps: 0, ..ok.clone() }),
+            ("sample_stride", OnlineSurrogateConfig { sample_stride: 0, ..ok.clone() }),
+            (
+                "fallback_settle_steps",
+                OnlineSurrogateConfig { fallback_settle_steps: 0, ..ok.clone() },
+            ),
+            ("refit_every", OnlineSurrogateConfig { refit_every: 0, ..ok.clone() }),
+        ];
+        for (field, config) in broken {
+            let err = config.validate().expect_err(field);
+            assert!(err.contains(field), "{err}");
         }
     }
 

@@ -122,6 +122,30 @@ impl Surrogate {
         (self.load_range.0..=self.load_range.1).contains(&load)
             && (self.wet_bulb_range.0..=self.wet_bulb_range.1).contains(&wb)
     }
+
+    /// Check a fitted surrogate that may have come off the wire before it
+    /// serves: its coefficients, training RMSE and envelope must be finite
+    /// (a JSON `null` decodes to NaN), and each envelope range ordered.
+    pub fn validate(&self) -> Result<(), String> {
+        let (load, wb) = (self.load_range, self.wet_bulb_range);
+        for (name, values) in [
+            ("pue_coeffs", &self.pue_coeffs[..]),
+            ("power_coeffs", &self.power_coeffs[..]),
+            ("pue_train_rmse", &[self.pue_train_rmse][..]),
+            ("load_range", &[load.0, load.1][..]),
+            ("wet_bulb_range", &[wb.0, wb.1][..]),
+        ] {
+            if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+                return Err(format!("surrogate {name} must be finite, got {v}"));
+            }
+        }
+        for (name, (min, max)) in [("load_range", load), ("wet_bulb_range", wb)] {
+            if min > max {
+                return Err(format!("surrogate {name} has min {min} above max {max}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Generate training samples by settling the L4 plant on a (load ×
@@ -392,6 +416,29 @@ mod tests {
         assert!((p - truth(0.5, 12.0)).abs() < 1e-8);
         assert!(sur.in_domain(0.5, 12.0));
         assert!(!sur.in_domain(2.0, 12.0));
+    }
+
+    #[test]
+    fn validate_refuses_non_finite_or_inverted_fits() {
+        let sur = Surrogate {
+            pue_coeffs: [1.0, 0.02, 0.001, 0.0, 0.0, 0.005],
+            power_coeffs: [1e5, 1e5, 2e3, 0.0, 0.0, 0.0],
+            load_range: (0.2, 0.8),
+            wet_bulb_range: (5.0, 25.0),
+            pue_train_rmse: 1e-9,
+        };
+        sur.validate().unwrap();
+        let broken = [
+            ("pue_coeffs", Surrogate { pue_coeffs: [f64::NAN; 6], ..sur.clone() }),
+            ("power_coeffs", Surrogate { power_coeffs: [f64::INFINITY; 6], ..sur.clone() }),
+            ("pue_train_rmse", Surrogate { pue_train_rmse: f64::NAN, ..sur.clone() }),
+            ("load_range", Surrogate { load_range: (0.2, f64::INFINITY), ..sur.clone() }),
+            ("wet_bulb_range", Surrogate { wet_bulb_range: (25.0, 5.0), ..sur.clone() }),
+        ];
+        for (field, fit) in broken {
+            let err = fit.validate().expect_err(field);
+            assert!(err.contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -467,6 +467,26 @@ mod tests {
     }
 
     #[test]
+    fn from_state_refuses_a_save_whose_online_config_has_zero_max_samples() {
+        let online = |max_samples| {
+            let config = crate::online::OnlineSurrogateConfig {
+                max_samples,
+                ..Default::default()
+            };
+            TwinConfig::marconi100_like().with_backend(CoolingBackend::Online(config))
+        };
+        let mut state = DigitalTwin::new(online(2_048)).unwrap().save_state().unwrap();
+        let serde::Value::Object(fields) = &mut state else { panic!("a save is an object") };
+        let config = fields.iter_mut().find(|(k, _)| k == "config").expect("a config field");
+        config.1 = serde::Serialize::to_value(&online(0));
+        let err = match DigitalTwin::from_state(&state) {
+            Err(e) => e,
+            Ok(_) => panic!("a save with max_samples 0 must not load"),
+        };
+        assert!(err.contains("max_samples"), "err={err}");
+    }
+
+    #[test]
     fn scene_available() {
         let twin = DigitalTwin::new(TwinConfig::frontier_power_only()).unwrap();
         assert!(twin.scene().node_count() > 100);

@@ -4,14 +4,13 @@
 //! through virtual modifications to Frontier's DT": the paper tests smart
 //! load-sharing rectifiers (+0.1 % efficiency ≈ $120k/yr) and direct
 //! 380 V DC distribution (93.3 % → 97.3 %, ≈ $542k/yr, −8.2 % CO₂). This
-//! module reproduces those two studies plus three §III-A use cases:
+//! module reproduces those two studies plus two §III-A use cases:
 //! virtually extending the cooling plant for a future secondary system,
-//! CDU blockage injection/detection (water quality), and thermal-throttle
-//! prediction.
+//! and CDU blockage injection/detection (water quality).
 //!
-//! Every steady-plant study — the setpoint and weather sweeps, the L4
-//! grid, the extension study and the surrogate's training data — settles
-//! the plant through one protocol and reads one [`PlantCondition`].
+//! Every steady-plant study — the L4 grid, the extension study and the
+//! surrogate's training data — settles the plant through one protocol
+//! and reads one [`PlantCondition`].
 //!
 //! Plant-condition sweeps are fidelity-selectable (see
 //! `docs/FIDELITY.md`): [`whatif_grid`] evaluates the same
@@ -30,7 +29,6 @@ use exadigit_raps::simulation::RapsSimulation;
 use exadigit_raps::stats::RunReport;
 use exadigit_sim::ensemble::EnsembleRunner;
 use exadigit_sim::fmi::{CoSimModel, VarRef};
-use exadigit_thermo::coldplate::ColdPlate;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
@@ -140,9 +138,8 @@ pub struct PlantCondition {
     pub secondary_supply_c: f64,
 }
 
-/// Settle steps (× 15 s) of the setpoint and weather sweeps and the L4
-/// grid; a surrogate trained with the same count matches the L4 grid's
-/// settling transient.
+/// Settle steps (× 15 s) of the L4 grid; a surrogate trained with the
+/// same count matches the L4 grid's settling transient.
 const SWEEP_SETTLE_STEPS: usize = 400;
 
 /// Build a plant from `spec`, apply `heat_per_cdu_w` to every CDU at the
@@ -282,64 +279,6 @@ pub fn blockage_experiment(
 }
 
 // ---------------------------------------------------------------------
-// Setpoint optimization (L5 precursor)
-// ---------------------------------------------------------------------
-
-/// Result of a basin-setpoint sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SetpointSweep {
-    /// `(basin setpoint °C, settled condition)` pairs in sweep order.
-    pub candidates: Vec<(f64, PlantCondition)>,
-    /// Index of the PUE-minimising candidate.
-    pub best: usize,
-}
-
-/// Sweep the tower basin setpoint and pick the PUE optimum — the
-/// grid-search precursor of the paper's L5 use case ("automated setpoint
-/// control for improved cooling efficiency"). Candidates are batched
-/// across the thread-pool executor; on failure the lowest-index error is
-/// returned, deterministically.
-pub fn setpoint_sweep(
-    spec: &PlantSpec,
-    setpoints_c: &[f64],
-    load_fraction: f64,
-    wet_bulb_c: f64,
-) -> Result<SetpointSweep, String> {
-    let heat = spec.heat_per_cdu_w() * load_fraction;
-    let candidates = EnsembleRunner::new(0).try_map(setpoints_c.to_vec(), |_ctx, sp| {
-        let mut candidate = spec.clone();
-        candidate.towers.basin_setpoint_c = sp;
-        settle_plant(&candidate, heat, wet_bulb_c, SWEEP_SETTLE_STEPS).map(|c| (sp, c))
-    })?;
-    let best = candidates
-        .iter()
-        .enumerate()
-        .min_by(|(_, (_, a)), (_, (_, b))| a.pue.partial_cmp(&b.pue).expect("finite PUE"))
-        .map(|(i, _)| i)
-        .ok_or("empty sweep")?;
-    Ok(SetpointSweep { candidates, best })
-}
-
-// ---------------------------------------------------------------------
-// Weather-correlation study
-// ---------------------------------------------------------------------
-
-/// Sweep the wet-bulb temperature at constant load — "understanding how
-/// weather correlates to GPU temperatures on the system" (§III-A).
-/// Points come back as `(wet-bulb °C, settled condition)` pairs in sweep
-/// order, batched across the thread-pool executor.
-pub fn weather_sweep(
-    spec: &PlantSpec,
-    wet_bulbs_c: &[f64],
-    load_fraction: f64,
-) -> Result<Vec<(f64, PlantCondition)>, String> {
-    let heat = spec.heat_per_cdu_w() * load_fraction;
-    EnsembleRunner::new(0).try_map(wet_bulbs_c.to_vec(), |_ctx, wb| {
-        settle_plant(spec, heat, wb, SWEEP_SETTLE_STEPS).map(|c| (wb, c))
-    })
-}
-
-// ---------------------------------------------------------------------
 // Fidelity-selectable what-if grid (L3 surrogate vs L4 plant)
 // ---------------------------------------------------------------------
 
@@ -445,51 +384,6 @@ pub fn whatif_grid(
     Ok(WhatIfGrid { points, extrapolations })
 }
 
-// ---------------------------------------------------------------------
-// Thermal-throttle scan
-// ---------------------------------------------------------------------
-
-/// One cell of the throttle-risk scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThrottleCell {
-    /// GPU power, W.
-    pub gpu_power_w: f64,
-    /// Coolant supply temperature, °C.
-    pub coolant_temp_c: f64,
-    /// Fraction of design coolant flow reaching the cold plate.
-    pub flow_fraction: f64,
-    /// Predicted junction temperature, °C.
-    pub junction_c: f64,
-    /// Whether the junction exceeds the throttle limit.
-    pub throttles: bool,
-}
-
-/// Scan GPU power × flow-fraction combinations at a given coolant supply
-/// temperature — "early detection of thermal throttling" (§III-A).
-pub fn thermal_throttle_scan(
-    coolant_temp_c: f64,
-    throttle_limit_c: f64,
-    power_points: &[f64],
-    flow_fractions: &[f64],
-) -> Vec<ThrottleCell> {
-    let plate = ColdPlate::gpu();
-    let mut out = Vec::with_capacity(power_points.len() * flow_fractions.len());
-    for &p in power_points {
-        for &f in flow_fractions {
-            let q = plate.q_design * f;
-            let tj = plate.junction_temperature(p, coolant_temp_c, q);
-            out.push(ThrottleCell {
-                gpu_power_w: p,
-                coolant_temp_c,
-                flow_fraction: f,
-                junction_c: tj,
-                throttles: tj > throttle_limit_c,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,8 +392,6 @@ mod tests {
     // FNV-1a-64 pins (see `fnv_bits`) of every number the studies below
     // return on these tests' inputs.
     const PIN_DELIVERY: u64 = 0x93ae_34db_feef_b9a3;
-    const PIN_SETPOINT_SWEEP: u64 = 0x4889_6524_58d5_3a4e;
-    const PIN_WEATHER_SWEEP: u64 = 0x411a_e53c_5f3b_35a0;
     const PIN_GRIDS_INSIDE: u64 = 0x7ff5_5825_f304_5cb5;
     const PIN_GRID_OUTSIDE: u64 = 0x5ca5_d9e2_bdf5_16e7;
 
@@ -619,49 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn setpoint_sweep_finds_an_optimum() {
-        // Small plant for speed; three candidates bracket the default.
-        let spec = exadigit_cooling::PlantSpec::marconi100_like();
-        let sweep =
-            setpoint_sweep(&spec, &[20.0, 24.0, 28.0], 0.6, 16.0).expect("sweep runs");
-        assert_eq!(sweep.candidates.len(), 3);
-        // Candidates come back in sweep order at any pool width.
-        let order: Vec<f64> = sweep.candidates.iter().map(|(sp, _)| *sp).collect();
-        assert_eq!(order, [20.0, 24.0, 28.0]);
-        let mut numbers: Vec<f64> = sweep
-            .candidates
-            .iter()
-            .flat_map(|(sp, c)| [*sp, c.pue, c.cooling_power_w, c.htws_temp_c])
-            .collect();
-        numbers.push(sweep.best as f64);
-        let pin = fnv_bits(numbers);
-        assert_eq!(pin, PIN_SETPOINT_SWEEP, "setpoint sweep moved: {pin:#018x}");
-        let best = &sweep.candidates[sweep.best].1;
-        for (_, c) in &sweep.candidates {
-            assert!(best.pue <= c.pue + 1e-12);
-            assert!((0.9..1.4).contains(&c.pue), "pue {}", c.pue);
-        }
-    }
-
-    #[test]
-    fn weather_sweep_correlates_wet_bulb_with_supply_temp() {
-        let spec = exadigit_cooling::PlantSpec::marconi100_like();
-        let points = weather_sweep(&spec, &[8.0, 16.0, 24.0], 0.6).expect("sweep runs");
-        assert_eq!(points.len(), 3);
-        let pin = fnv_bits(
-            points
-                .iter()
-                .flat_map(|(wb, c)| [*wb, c.secondary_supply_c, c.pue, c.cooling_power_w]),
-        );
-        assert_eq!(pin, PIN_WEATHER_SWEEP, "weather sweep moved: {pin:#018x}");
-        // Hotter weather cannot cool the coolant: supply temperature and
-        // cooling effort are non-decreasing in wet-bulb.
-        let (cool, hot) = (&points[0].1, &points[2].1);
-        assert!(hot.secondary_supply_c >= cool.secondary_supply_c - 0.5);
-        assert!(hot.cooling_power_w >= cool.cooling_power_w * 0.95);
-    }
-
-    #[test]
     fn grid_fidelities_agree_inside_the_envelope() {
         // Train a surrogate on the small plant with the same 400-step
         // settle protocol the L4 grid uses, over a wet-bulb range that
@@ -742,17 +591,5 @@ mod tests {
         assert!(!l4.extrapolated);
         assert!((l3.pue - l4.pue).abs() < 0.05, "L3 {} vs L4 {}", l3.pue, l4.pue);
         assert!(extrap.extrapolated, "out-of-envelope point must be flagged");
-    }
-
-    #[test]
-    fn throttle_scan_flags_low_flow_high_power() {
-        let cells = thermal_throttle_scan(32.0, 95.0, &[250.0, 560.0], &[1.0, 0.1]);
-        assert_eq!(cells.len(), 4);
-        let full = cells.iter().find(|c| c.gpu_power_w == 560.0 && c.flow_fraction == 1.0).unwrap();
-        let starved =
-            cells.iter().find(|c| c.gpu_power_w == 560.0 && c.flow_fraction == 0.1).unwrap();
-        assert!(!full.throttles, "design flow must not throttle");
-        assert!(starved.throttles, "starved plate must throttle");
-        assert!(starved.junction_c > full.junction_c);
     }
 }

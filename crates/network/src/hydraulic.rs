@@ -304,19 +304,9 @@ impl HydraulicNetwork {
         self.injections[node.0] = q;
     }
 
-    /// Number of branches.
-    pub fn branch_count(&self) -> usize {
-        self.branches.len()
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.node_names.len()
-    }
-
-    /// Branch name (for registries/diagnostics).
-    pub fn branch_name(&self, b: BranchId) -> &str {
-        &self.branches[b.0].name
     }
 
     /// Update the speed of every pump element on a branch.

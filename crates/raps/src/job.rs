@@ -186,16 +186,6 @@ impl Job {
             None => false,
         }
     }
-
-    /// Queue wait (start − submit) once started.
-    pub fn wait_time_s(&self) -> Option<u64> {
-        self.start_time_s.map(|s| s.saturating_sub(self.submit_time_s))
-    }
-
-    /// Node-seconds consumed (for utilization accounting).
-    pub fn node_seconds(&self) -> u64 {
-        self.nodes as u64 * self.wall_time_s
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +256,5 @@ mod tests {
         assert_eq!(j.elapsed_at(500), 300);
         assert!(!j.is_due(200 + 3599));
         assert!(j.is_due(200 + 3600));
-        assert_eq!(j.wait_time_s(), Some(100));
-        assert_eq!(j.node_seconds(), 16 * 3600);
     }
 }

@@ -320,16 +320,6 @@ impl PowerModel {
         NodePoint { cpu_w, gpu_w, nic_w, ram_w: p.ram_w, nvme_w, node_w, bus_w }
     }
 
-    /// Node idle power (all utilizations zero).
-    pub fn node_idle_power(&self, gpus: usize) -> f64 {
-        self.node_power(0.0, 0.0, gpus)
-    }
-
-    /// Node peak power (all utilizations one).
-    pub fn node_peak_power(&self, gpus: usize) -> f64 {
-        self.node_power(1.0, 1.0, gpus)
-    }
-
     /// Fresh accumulator sized for this system.
     pub fn new_accumulator(&self) -> PowerAccumulator {
         PowerAccumulator::new(self.racks)
@@ -448,8 +438,9 @@ mod tests {
     #[test]
     fn node_power_eq3_idle_and_peak() {
         let m = frontier_model(PowerDelivery::StandardAC);
-        assert_eq!(m.node_idle_power(4), 626.0);
-        assert_eq!(m.node_peak_power(4), 2704.0);
+        // Table I: 626 W idle and 2,704 W peak per four-GPU node.
+        assert_eq!(m.node_power(0.0, 0.0, 4), 626.0);
+        assert_eq!(m.node_power(1.0, 1.0, 4), 2704.0);
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl NodePool {
         self.free_count[partition]
     }
 
-    /// Total free nodes across partitions.
-    pub fn available_total(&self) -> usize {
-        self.free_count.iter().sum()
-    }
-
     /// Allocate `n` nodes from a partition (lowest ids first, ascending).
     /// Returns `None` without side effects when not enough nodes are free.
     pub fn allocate(&mut self, partition: usize, n: usize) -> Option<Vec<u32>> {

@@ -136,7 +136,6 @@ pub struct CoolingCoupling {
     wet_bulb_input: VarRef,
     it_power_input: Option<VarRef>,
     pue_output: Option<VarRef>,
-    cooling_power_output: Option<VarRef>,
     /// Inputs as last forwarded across the boundary. `set_real` is
     /// idempotent, so bit-equal values are skipped — load only changes
     /// at job events, which makes most 15 s quanta send-free.
@@ -163,14 +162,12 @@ impl CoolingCoupling {
             .vr;
         let it_power_input = model.var_by_name(cooling_vars::IT_POWER).map(|v| v.vr);
         let pue_output = model.var_by_name(cooling_vars::PUE).map(|v| v.vr);
-        let cooling_power_output = model.var_by_name(cooling_vars::COOLING_POWER).map(|v| v.vr);
         Ok(CoolingCoupling {
             model,
             cdu_inputs,
             wet_bulb_input,
             it_power_input,
             pue_output,
-            cooling_power_output,
             last_cdu_heat_w: vec![f64::NAN; num_cdus],
             last_wet_bulb_c: f64::NAN,
             last_it_power_w: f64::NAN,
@@ -187,7 +184,6 @@ impl CoolingCoupling {
             wet_bulb_input: self.wet_bulb_input,
             it_power_input: self.it_power_input,
             pue_output: self.pue_output,
-            cooling_power_output: self.cooling_power_output,
             last_cdu_heat_w: self.last_cdu_heat_w.clone(),
             last_wet_bulb_c: self.last_wet_bulb_c,
             last_it_power_w: self.last_it_power_w,
@@ -1428,7 +1424,6 @@ impl RapsSimulation {
             self.state.outputs.pue.push(pue);
             self.state.outputs.pue_stats.push(pue);
         }
-        let _ = cooling.cooling_power_output; // read on demand by callers
         Ok(())
     }
 

@@ -62,14 +62,6 @@ impl RunReport {
     pub fn cost_for(costs: &CostConfig, energy_mwh: f64) -> f64 {
         energy_mwh * costs.usd_per_mwh
     }
-
-    /// Annualise a value measured over this run (scale to 365 days).
-    pub fn annualize(&self, value_per_run: f64) -> f64 {
-        if self.sim_seconds == 0 {
-            return 0.0;
-        }
-        value_per_run * (365.0 * 86_400.0) / self.sim_seconds as f64
-    }
 }
 
 impl std::fmt::Display for RunReport {
@@ -124,14 +116,6 @@ mod tests {
         let yearly_mwh = 1.14 * 8_766.0;
         let cost = RunReport::cost_for(&costs, yearly_mwh);
         assert!((cost - 900_000.0).abs() < 20_000.0, "cost={cost}");
-    }
-
-    #[test]
-    fn annualize_scales_by_span() {
-        let mut r = dummy_report();
-        r.sim_seconds = 86_400; // one day
-        let yearly = r.annualize(10.0);
-        assert!((yearly - 3_650.0).abs() < 1.0);
     }
 
     #[test]

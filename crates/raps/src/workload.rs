@@ -15,7 +15,7 @@
 //! HPL runs) is reproduced by [`benchmark_day`].
 
 use crate::arrivals::PoissonArrivals;
-use crate::job::{Job, JobId, JobState, UtilTrace};
+use crate::job::{Job, UtilTrace};
 use exadigit_sim::clock::SECONDS_PER_DAY;
 use exadigit_sim::Rng;
 use serde::{Deserialize, Serialize};
@@ -259,23 +259,6 @@ pub fn benchmark_day(seed: u64) -> Vec<Job> {
     jobs
 }
 
-/// Reset helper: mark a batch of jobs pending (used when replaying the
-/// same job list through several what-if variants).
-pub fn reset_jobs(jobs: &mut [Job]) {
-    for j in jobs {
-        j.state = JobState::Pending;
-        j.start_time_s = None;
-        j.end_time_s = None;
-    }
-}
-
-/// Renumber job ids sequentially (after merging workloads).
-pub fn renumber(jobs: &mut [Job]) {
-    for (i, j) in jobs.iter_mut().enumerate() {
-        j.id = JobId(i as u64 + 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,17 +374,5 @@ mod tests {
         // Single-node share ≈ 400/1238.
         let singles = jobs.iter().filter(|j| j.nodes == 1).count();
         assert!(singles > jobs.len() / 5, "singles={singles}");
-    }
-
-    #[test]
-    fn reset_jobs_clears_lifecycle() {
-        let mut jobs = vec![hpl_job(1, 0)];
-        jobs[0].state = JobState::Completed;
-        jobs[0].start_time_s = Some(10);
-        jobs[0].end_time_s = Some(20);
-        reset_jobs(&mut jobs);
-        assert_eq!(jobs[0].state, JobState::Pending);
-        assert!(jobs[0].start_time_s.is_none());
-        assert!(jobs[0].end_time_s.is_none());
     }
 }

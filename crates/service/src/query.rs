@@ -91,7 +91,8 @@ impl WhatIfSpec {
     /// physical: at `component_power_rel` = 0.25 a negative rating is
     /// already a 4-σ draw, and `perturb_config` clamps each efficiency to
     /// a band about 0.1 wide, so an efficiency σ above 0.05 only piles
-    /// draws onto the band's edges.
+    /// draws onto the band's edges. A backend swap is checked by
+    /// [`CoolingBackend::validate`].
     pub fn validate(&self) -> Result<(), String> {
         const MAX_HORIZON_S: u64 = 366 * 86_400;
         const MAX_DRAWS: u64 = 4_096;
@@ -129,7 +130,10 @@ impl WhatIfSpec {
                 return Err(format!("{name} is {sigma}, above its cap of {cap}"));
             }
         }
-        Ok(())
+        match &self.backend {
+            Some(backend) => backend.validate(),
+            None => Ok(()),
+        }
     }
 }
 
@@ -167,6 +171,30 @@ pub struct WhatIfOutcome {
     pub draw_energy_mwh: Vec<f64>,
     /// Ensemble size this outcome aggregates (1 for a single fork).
     pub draws: u64,
+}
+
+impl WhatIfOutcome {
+    /// The outcome itself when every number in it is finite, else an
+    /// error naming the first field that is not. A valid spec can still
+    /// drive a model out of range (a fitted surrogate at a wet-bulb of
+    /// 1e200 predicts an infinite PUE), and an answer is cached, so this
+    /// is the one check every answer passes on its way out.
+    fn finite(self) -> Result<Self, String> {
+        let scalars = [
+            ("avg_power_mw", self.avg_power_mw),
+            ("power_std_mw", self.power_std_mw),
+            ("energy_mwh", self.energy_mwh),
+            ("energy_std_mwh", self.energy_std_mwh),
+            ("final_utilization", self.final_utilization),
+        ];
+        let pue = self.final_pue.map(|v| ("final_pue", v));
+        let draws = self.draw_avg_power_mw.iter().map(|&v| ("draw_avg_power_mw", v));
+        let draws = draws.chain(self.draw_energy_mwh.iter().map(|&v| ("draw_energy_mwh", v)));
+        match scalars.into_iter().chain(pue).chain(draws).find(|(_, v)| !v.is_finite()) {
+            Some((name, v)) => Err(format!("the answer's {name} is not finite ({v})")),
+            None => Ok(self),
+        }
+    }
 }
 
 /// Marginal numbers from one fork run.
@@ -289,7 +317,9 @@ fn marginal(twin: &DigitalTwin, spec: &WhatIfSpec, r0: &RunReport, r1: &RunRepor
 /// power-only draws run as `min(draws, width)` chunks of one fork each,
 /// the chunk's other draws riding along as power lanes, and cooled draws
 /// fork one by one. Either way the answer is bit-identical to one fork
-/// per draw, at any pool width, which is what makes it cacheable.
+/// per draw, at any pool width, which is what makes it cacheable. An
+/// answer holding a non-finite number is an error instead, naming the
+/// field, so no such answer reaches a cache.
 pub fn run_whatif(
     snapshot: &TwinSnapshot,
     spec: &WhatIfSpec,
@@ -304,7 +334,7 @@ pub fn run_whatif(
     let base = configured_fork(snapshot, spec)?;
     if spec.draws <= 1 {
         let run = run_fork(base, spec, None)?;
-        return Ok(WhatIfOutcome {
+        return WhatIfOutcome {
             label: spec.label.clone(),
             from_s,
             to_s,
@@ -318,7 +348,8 @@ pub fn run_whatif(
             draw_avg_power_mw: Vec::new(),
             draw_energy_mwh: Vec::new(),
             draws: 1,
-        });
+        }
+        .finite();
     }
 
     // UQ ensemble: per-draw streams derive from the snapshot seed and the
@@ -352,7 +383,7 @@ pub fn run_whatif(
     let (power_mean, power_std) = mean_std(&draw_avg_power_mw);
     let (energy_mean, energy_std) = mean_std(&draw_energy_mwh);
     let pues: Vec<f64> = runs.iter().filter_map(|r| r.final_pue).collect();
-    Ok(WhatIfOutcome {
+    WhatIfOutcome {
         label: spec.label.clone(),
         from_s,
         to_s,
@@ -372,7 +403,8 @@ pub fn run_whatif(
         draw_avg_power_mw,
         draw_energy_mwh,
         draws: spec.draws,
-    })
+    }
+    .finite()
 }
 
 #[cfg(test)]

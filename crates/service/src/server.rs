@@ -603,7 +603,9 @@ impl TwinService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exadigit_core::config::CoolingBackend;
+    use exadigit_core::config::{CoolingBackend, SurrogateSource};
+    use exadigit_core::online::OnlineSurrogateConfig;
+    use exadigit_core::surrogate::{Sample, Surrogate};
     use exadigit_raps::job::{Job, UtilTrace};
     use exadigit_raps::uq::UqPerturbations;
     use exadigit_telemetry::replay::CoolingTrace;
@@ -847,22 +849,103 @@ mod tests {
         }
     }
 
-    /// A what-if whose one extra job is `job` must answer an `Error`
-    /// naming `field`, before any fork, and leave the cache empty.
-    fn assert_extra_job_refused(job: Job, field: &str) {
+    /// `spec`, asked twice of a power-only Frontier service advanced 1 h,
+    /// must answer an `Error` naming `field` both times (the first answer
+    /// was not cached) and leave the cache empty.
+    fn assert_spec_refused(spec: WhatIfSpec, field: &str) {
         let svc = service();
-        svc.handle(&Request::Advance { seconds: 600 });
+        svc.handle(&Request::Advance { seconds: 3_600 });
         let Response::SnapshotTaken(info) =
             svc.handle(&Request::Snapshot { label: "base".into() })
         else {
             panic!()
         };
-        let spec = WhatIfSpec { horizon_s: 300, extra_jobs: vec![job], ..WhatIfSpec::default() };
-        let r = svc.handle(&Request::Query { snapshot_id: info.id, spec });
-        let Response::Error { message } = &r else { panic!("{field}: {r:?}") };
-        assert!(message.contains(field), "{message}");
+        for attempt in 1..=2 {
+            let r = svc.handle(&Request::Query { snapshot_id: info.id, spec: spec.clone() });
+            let Response::Error { message } = &r else { panic!("{field} #{attempt}: {r:?}") };
+            assert!(message.contains(field), "{message}");
+        }
         let Response::Status(s) = svc.handle(&Request::Status) else { panic!() };
         assert_eq!(s.cache_entries, 0, "a refused spec must not be cached");
+    }
+
+    /// A what-if whose one extra job is `job` must be refused, naming
+    /// `field`, before any fork.
+    fn assert_extra_job_refused(job: Job, field: &str) {
+        let spec = WhatIfSpec { horizon_s: 300, extra_jobs: vec![job], ..WhatIfSpec::default() };
+        assert_spec_refused(spec, field);
+    }
+
+    fn with_backend(backend: CoolingBackend) -> WhatIfSpec {
+        WhatIfSpec { backend: Some(backend), ..WhatIfSpec::default() }
+    }
+
+    /// A surrogate fitted to a smooth synthetic plane: valid, and cheap
+    /// because no plant is settled to train it.
+    fn fitted_surrogate() -> Surrogate {
+        let samples: Vec<Sample> = [0.3, 0.6, 0.9]
+            .into_iter()
+            .flat_map(|load| {
+                [10.0, 14.0, 18.0].map(|wb| Sample {
+                    load_fraction: load,
+                    wet_bulb_c: wb,
+                    pue: 1.02 + 0.01 * load + 0.001 * wb,
+                    cooling_power_w: 4e5 * load + 1e4 * wb,
+                })
+            })
+            .collect();
+        Surrogate::fit(&samples).unwrap()
+    }
+
+    #[test]
+    fn an_empty_replay_trace_is_an_error_and_not_cached() {
+        // Unchecked, the replay panics sampling the empty series.
+        let empty = || exadigit_sim::TimeSeries::from_values(0.0, 15.0, Vec::new());
+        let trace = CoolingTrace::new(empty(), empty());
+        assert_spec_refused(with_backend(CoolingBackend::Replay(trace)), "pue");
+    }
+
+    #[test]
+    fn a_non_finite_replay_pue_is_an_error_and_not_cached() {
+        // Unchecked, the replay serves its NaN as `"final_pue": null`.
+        let trace = CoolingTrace::constant(f64::NAN, 2e6);
+        assert_spec_refused(with_backend(CoolingBackend::Replay(trace)), "pue");
+    }
+
+    #[test]
+    fn an_online_backend_with_zero_max_samples_is_an_error_and_not_cached() {
+        // Unchecked, the trainer takes a remainder by zero once a regime
+        // holds its (zero) samples.
+        let config = OnlineSurrogateConfig { max_samples: 0, ..OnlineSurrogateConfig::default() };
+        assert_spec_refused(with_backend(CoolingBackend::Online(config)), "max_samples");
+    }
+
+    #[test]
+    fn a_null_surrogate_coefficient_from_the_wire_is_an_error_and_not_cached() {
+        // The vendored JSON decodes `null` in a float field to NaN, which
+        // unchecked answers `"final_pue": null`.
+        let fitted = CoolingBackend::Surrogate(SurrogateSource::Fitted(fitted_surrogate()));
+        let json = serde_json::to_string(&with_backend(fitted)).unwrap();
+        let at = json.find(r#""pue_coeffs":["#).expect("coefficients on the wire") + 14;
+        let end = at + json[at..].find(',').unwrap();
+        let line = format!("{}null{}", &json[..at], &json[end..]);
+        let spec: WhatIfSpec = serde_json::from_str(&line).unwrap();
+        assert_spec_refused(spec, "pue_coeffs");
+    }
+
+    #[test]
+    fn a_huge_wet_bulb_under_a_fitted_surrogate_is_an_error_and_not_cached() {
+        // Every spec validates (1e200 is finite), but the fit's wet-bulb
+        // square overflows, so the answer's PUE is not finite, on the
+        // single-draw return and on the UQ return alike.
+        let fitted = CoolingBackend::Surrogate(SurrogateSource::Fitted(fitted_surrogate()));
+        let forced = WhatIfSpec { wet_bulb_c: Some(1e200), ..with_backend(fitted.clone()) };
+        let shifted = WhatIfSpec { wet_bulb_offset_c: 1e200, ..with_backend(fitted) };
+        let drawn = WhatIfSpec { draws: 2, ..forced.clone() };
+        for spec in [forced, shifted, drawn] {
+            assert!(spec.validate().is_ok());
+            assert_spec_refused(spec, "final_pue");
+        }
     }
 
     fn probe_job() -> Job {

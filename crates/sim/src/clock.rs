@@ -85,12 +85,6 @@ impl SimClock {
     pub fn day_fraction(&self) -> f64 {
         self.second_of_day() as f64 / SECONDS_PER_DAY as f64
     }
-
-    /// Whole simulated days elapsed.
-    #[inline]
-    pub fn days_elapsed(&self) -> u64 {
-        self.elapsed / SECONDS_PER_DAY
-    }
 }
 
 impl Default for SimClock {
@@ -141,12 +135,5 @@ mod tests {
         c.tick();
         assert_eq!(c.second_of_day(), 0);
         assert_eq!(c.day_fraction(), 0.0);
-    }
-
-    #[test]
-    fn days_elapsed_counts_whole_days() {
-        let mut c = SimClock::midnight();
-        c.advance(3 * SECONDS_PER_DAY + 5);
-        assert_eq!(c.days_elapsed(), 3);
     }
 }

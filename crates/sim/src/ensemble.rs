@@ -210,10 +210,11 @@ mod tests {
 
     #[test]
     fn run_sweep_gathers_setpoints_in_order() {
-        // A setpoint sweep batched the way the what-if sweeps batch theirs:
-        // each point relaxes toward its setpoint, earlier points doing more
-        // steps so they finish last on a 2-wide pool. Every result must come
-        // back at its sweep position, paired with its own setpoint.
+        // The gather `whatif_grid` relies on: a fallible sweep through
+        // `try_map` in which each point relaxes toward its setpoint,
+        // earlier points doing more steps so they finish last on a 2-wide
+        // pool. Every result must come back at its sweep position, paired
+        // with its own setpoint.
         let setpoints = [20.0, 24.0, 28.0, 32.0];
         let settled: Result<Vec<(f64, f64)>, String> =
             EnsembleRunner::new(0).threads(2).try_map(setpoints.to_vec(), |ctx, sp| {

@@ -243,12 +243,6 @@ impl EventQueue {
         }
     }
 
-    /// Number of pending one-shot events (recurring entries are periods,
-    /// not counted).
-    pub fn pending_one_shots(&self) -> usize {
-        self.heap.len()
-    }
-
     /// True when nothing is scheduled at all.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.recurring.is_empty()

@@ -171,7 +171,7 @@ impl SyntheticTwin {
         let day_mean = self.params.wet_bulb_mean_c + rng.normal(0.0, 2.0);
         for i in 0..=1440 {
             let frac = (i % 1440) as f64 / 1440.0;
-            let base = exadigit_thermo_diurnal(day_mean, self.params.wet_bulb_amplitude_c, frac);
+            let base = diurnal_wet_bulb(day_mean, self.params.wet_bulb_amplitude_c, frac);
             series.push(base + drift.next(&mut rng));
         }
         series
@@ -298,9 +298,9 @@ impl SyntheticTwin {
     }
 }
 
-/// Diurnal wet-bulb shape (re-exported from the thermo crate's
-/// psychrometrics to avoid a circular dependency in doc examples).
-fn exadigit_thermo_diurnal(mean: f64, amplitude: f64, day_fraction: f64) -> f64 {
+/// The diurnal wet-bulb shape under the weather noise: a sinusoid with
+/// its minimum at 03:00 and its maximum at 15:00 (day fraction 0.625).
+fn diurnal_wet_bulb(mean: f64, amplitude: f64, day_fraction: f64) -> f64 {
     use std::f64::consts::PI;
     mean + amplitude * (2.0 * PI * (day_fraction - 0.375)).sin()
 }
@@ -342,6 +342,24 @@ mod tests {
         let afternoon = a.sample_at(15.0 * 3600.0);
         let predawn = a.sample_at(4.0 * 3600.0);
         assert!(afternoon > predawn, "afternoon {afternoon} predawn {predawn}");
+    }
+
+    #[test]
+    fn diurnal_profile_peaks_mid_afternoon() {
+        let mean = 18.0;
+        let amp = 4.0;
+        let at_peak = diurnal_wet_bulb(mean, amp, 0.625);
+        let at_trough = diurnal_wet_bulb(mean, amp, 0.125);
+        assert!((at_peak - (mean + amp)).abs() < 1e-9);
+        assert!((at_trough - (mean - amp)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn diurnal_profile_mean_preserved() {
+        let n = 288;
+        let sum: f64 =
+            (0..n).map(|i| diurnal_wet_bulb(15.0, 5.0, i as f64 / n as f64)).sum();
+        assert!((sum / n as f64 - 15.0).abs() < 1e-6);
     }
 
     #[test]

@@ -74,6 +74,26 @@ impl CoolingTrace {
         self
     }
 
+    /// Check a trace that may have come off the wire before a replay
+    /// samples it: every series, the channels' included, needs samples
+    /// (an empty one panics when sampled) and only finite ones (a JSON
+    /// `null` decodes to NaN, which the replay would serve as its answer).
+    pub fn validate(&self) -> Result<(), String> {
+        let named = self.channels.iter().map(|c| (c.name.as_str(), &c.series));
+        for (name, series) in [("pue", &self.pue), ("cooling_power_w", &self.cooling_power_w)]
+            .into_iter()
+            .chain(named)
+        {
+            if series.is_empty() {
+                return Err(format!("replay trace series {name} has no samples"));
+            }
+            if let Some(v) = series.samples().find(|v| !v.is_finite()) {
+                return Err(format!("replay trace series {name} holds a non-finite sample {v}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Lift a recorded telemetry day into a replay trace.
     ///
     /// The PUE channel is taken verbatim (Table II records it at 15 s).
@@ -355,11 +375,6 @@ impl TelemetryFeed {
         self.jobs.len()
     }
 
-    /// Submit second of the next undelivered job.
-    pub fn next_submit_s(&self) -> Option<u64> {
-        self.jobs.front().map(|j| j.submit_time_s)
-    }
-
     /// Feed time: everything at or before this second has been delivered.
     pub fn delivered_through_s(&self) -> u64 {
         self.delivered_through_s
@@ -387,6 +402,23 @@ mod tests {
             TimeSeries::from_values(0.0, 15.0, vec![1.05, 1.08, 1.12, 1.15]),
             TimeSeries::from_values(0.0, 15.0, vec![4.0e5, 4.5e5, 5.0e5, 5.5e5]),
         )
+    }
+
+    #[test]
+    fn validate_refuses_empty_or_non_finite_series_channels_included() {
+        ramp_trace().validate().unwrap();
+        let empty = || TimeSeries::from_values(0.0, 15.0, Vec::new());
+        let nan = || TimeSeries::from_values(0.0, 15.0, vec![1.1, f64::NAN]);
+        let broken = [
+            ("pue", CoolingTrace { pue: empty(), ..ramp_trace() }),
+            ("cooling_power_w", CoolingTrace { cooling_power_w: nan(), ..ramp_trace() }),
+            ("cdu[1].supply", ramp_trace().with_channel("cdu[1].supply", empty())),
+            ("cdu[2].supply", ramp_trace().with_channel("cdu[2].supply", nan())),
+        ];
+        for (series, trace) in broken {
+            let err = trace.validate().expect_err(series);
+            assert!(err.contains(series), "{err}");
+        }
     }
 
     #[test]
@@ -480,7 +512,6 @@ mod tests {
         let wb = TimeSeries::from_values(0.0, 3600.0, vec![15.0, 15.0]);
         let mut feed = TelemetryFeed::new(jobs, wb, 3600);
         assert_eq!(feed.pending_jobs(), 3);
-        assert_eq!(feed.next_submit_s(), Some(10));
         let first = feed.poll(120);
         assert_eq!(first.iter().map(|j| j.id.0).collect::<Vec<_>>(), vec![1, 2]);
         assert!(feed.poll(120).is_empty(), "polling the same window re-delivers nothing");

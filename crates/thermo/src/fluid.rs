@@ -77,23 +77,6 @@ impl Fluid {
     }
 }
 
-/// Heat carried by a stream, eq. (7) of the paper: `H = ρ · Q · ΔT · c`
-/// with `Q` volumetric flow in m³/s and `ΔT` in K; returns watts.
-pub fn stream_heat(fluid: Fluid, t_mean: f64, flow_m3s: f64, delta_t: f64) -> f64 {
-    fluid.volumetric_heat_capacity(t_mean) * flow_m3s * delta_t
-}
-
-/// Convert gallons-per-minute (the unit the paper quotes pump flows in,
-/// e.g. "9000-10000 gpm") to m³/s.
-pub fn gpm_to_m3s(gpm: f64) -> f64 {
-    gpm * 3.785_411_784e-3 / 60.0
-}
-
-/// Convert m³/s to gallons-per-minute for report output.
-pub fn m3s_to_gpm(m3s: f64) -> f64 {
-    m3s * 60.0 / 3.785_411_784e-3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,17 +118,10 @@ mod tests {
 
     #[test]
     fn stream_heat_matches_eq7() {
-        // 1 m³/s of water with 10 K rise at 30 °C: ~41.6 MW.
-        let h = stream_heat(Fluid::Water, 30.0, 1.0, 10.0);
+        // Eq. (7), H = ρ · Q · ΔT · c: 1 m³/s of water with a 10 K rise
+        // at 30 °C carries ~41.6 MW.
+        let h = Fluid::Water.volumetric_heat_capacity(30.0) * 1.0 * 10.0;
         assert!((h - 41.6e6).abs() / 41.6e6 < 0.01, "h={h}");
-    }
-
-    #[test]
-    fn gpm_round_trip() {
-        let q = gpm_to_m3s(9500.0); // CTWP band from the paper
-        assert!((m3s_to_gpm(q) - 9500.0).abs() < 1e-9);
-        // 9500 gpm ≈ 0.599 m³/s
-        assert!((q - 0.5993).abs() < 0.001, "q={q}");
     }
 
     #[test]

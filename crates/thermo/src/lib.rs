@@ -19,16 +19,12 @@
 //!   CDU primary-side valve regulating secondary supply temperature);
 //! * [`pipe`] — hydraulic resistances, transport delay, and well-mixed
 //!   thermal volumes;
-//! * [`coldplate`] — cold-plate thermal resistance for blade-level
-//!   temperature estimates and thermal-throttle detection (a requirements-
-//!   analysis use case in §III-A);
 //! * [`pid`] — PID controllers with anti-windup (§III-C5);
 //! * [`staging`] — hysteresis staging state machines and the first-order
 //!   delay element the paper uses between the primary and tower loops.
 
 #![warn(missing_docs)]
 
-pub mod coldplate;
 pub mod fluid;
 pub mod hx;
 pub mod pid;

@@ -38,16 +38,6 @@ impl HydraulicResistance {
         const Q_EPS: f64 = 1e-6;
         2.0 * self.k * q.abs().max(Q_EPS)
     }
-
-    /// Flow through the resistance for a given pressure drop (inverse).
-    pub fn flow_for_drop(&self, dp: f64) -> f64 {
-        let mag = (dp.abs() / self.k).sqrt();
-        if dp >= 0.0 {
-            mag
-        } else {
-            -mag
-        }
-    }
 }
 
 /// Plug-flow transport delay: what goes in comes out `volume/flow` seconds
@@ -103,14 +93,6 @@ impl TransportDelay {
         }
         t_weighted / vol_in
     }
-
-    /// Current mean temperature of the buffered fluid.
-    pub fn mean_temperature(&self) -> f64 {
-        if self.buffered_m3 <= 0.0 {
-            return self.initial_temp;
-        }
-        self.slugs.iter().map(|(t, v)| t * v).sum::<f64>() / self.buffered_m3
-    }
 }
 
 /// A well-mixed thermal volume (lumped capacitance):
@@ -164,11 +146,6 @@ impl ThermalVolume {
         let t_inf = t_in + q_ext_w / (mdot * cp);
         self.temperature = t_inf + (self.temperature - t_inf) * decay;
     }
-
-    /// Outlet temperature (well-mixed: equals the volume temperature).
-    pub fn outlet_temperature(&self) -> f64 {
-        self.temperature
-    }
 }
 
 #[cfg(test)]
@@ -179,14 +156,13 @@ mod tests {
     fn resistance_design_point() {
         let r = HydraulicResistance::from_design(0.3, 90_000.0);
         assert!((r.pressure_drop(0.3) - 90_000.0).abs() < 1e-9);
-        assert!((r.flow_for_drop(90_000.0) - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn resistance_sign_convention() {
         let r = HydraulicResistance::from_design(0.3, 90_000.0);
         assert!(r.pressure_drop(-0.3) < 0.0);
-        assert!((r.flow_for_drop(-90_000.0) + 0.3).abs() < 1e-12);
+        assert_eq!(r.pressure_drop(-0.3), -r.pressure_drop(0.3));
     }
 
     #[test]

@@ -45,20 +45,6 @@ pub fn saturation_specific_heat(t_low: f64, t_high: f64) -> f64 {
     (saturated_air_enthalpy(hi) - saturated_air_enthalpy(lo)) / dt
 }
 
-/// Density of dry air (kg/m³) at `t` (°C), ideal-gas at standard pressure.
-pub fn air_density(t: f64) -> f64 {
-    P_ATM / (287.055 * (t + 273.15))
-}
-
-/// A simple diurnal wet-bulb temperature profile used by the synthetic
-/// weather generator: sinusoid with minimum at 06:00 and maximum at 15:00,
-/// the typical continental summer shape for East Tennessee.
-pub fn diurnal_wet_bulb(mean: f64, amplitude: f64, day_fraction: f64) -> f64 {
-    use std::f64::consts::PI;
-    // Phase chosen so the peak lands at ~15:00 (day_fraction 0.625).
-    mean + amplitude * (2.0 * PI * (day_fraction - 0.375)).sin()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,28 +77,5 @@ mod tests {
         assert!(cs_high > cs_low);
         // Typical magnitude: 3-7 kJ/kg-K over tower operating range.
         assert!(cs_low > 2_000.0 && cs_high < 9_000.0);
-    }
-
-    #[test]
-    fn air_density_reference() {
-        assert!((air_density(20.0) - 1.204).abs() < 0.005);
-    }
-
-    #[test]
-    fn diurnal_profile_peaks_mid_afternoon() {
-        let mean = 18.0;
-        let amp = 4.0;
-        let at_peak = diurnal_wet_bulb(mean, amp, 0.625);
-        let at_trough = diurnal_wet_bulb(mean, amp, 0.125);
-        assert!((at_peak - (mean + amp)).abs() < 1e-9);
-        assert!((at_trough - (mean - amp)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn diurnal_profile_mean_preserved() {
-        let n = 288;
-        let sum: f64 =
-            (0..n).map(|i| diurnal_wet_bulb(15.0, 5.0, i as f64 / n as f64)).sum();
-        assert!((sum / n as f64 - 15.0).abs() < 1e-6);
     }
 }

@@ -152,7 +152,11 @@ impl Pump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fluid::gpm_to_m3s;
+
+    /// Gallons per minute, the unit the paper quotes pump flows in, to m³/s.
+    fn gpm_to_m3s(gpm: f64) -> f64 {
+        gpm * 3.785_411_784e-3 / 60.0
+    }
 
     fn htwp() -> Pump {
         // HTWP design: ~5500 gpm at ~30 m head (paper: 5000-6000 gpm).

@@ -90,13 +90,6 @@ impl HysteresisStager {
         }
         self.count
     }
-
-    /// Force a count (used when initialising from telemetry).
-    pub fn set_count(&mut self, count: u32) {
-        self.count = count.clamp(self.min_count, self.max_count);
-        self.up_timer = 0.0;
-        self.down_timer = 0.0;
-    }
 }
 
 /// First-order lag (`tau · y' + y = u`) — the "delay transfer function"

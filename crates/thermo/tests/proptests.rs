@@ -2,7 +2,6 @@
 //! invariants that must hold for *any* operating condition, not just the
 //! design point.
 
-use exadigit_thermo::coldplate::ColdPlate;
 use exadigit_thermo::fluid::Fluid;
 use exadigit_thermo::hx::{effectiveness_counterflow, HeatExchanger};
 use exadigit_thermo::pid::Pid;
@@ -161,23 +160,6 @@ proptest! {
             let y = lag.update(u, dt);
             prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9, "y={y} outside [{lo}, {hi}]");
         }
-    }
-
-    /// Cold-plate junction temperature is monotone in power and inversely
-    /// monotone in flow.
-    #[test]
-    fn coldplate_monotonicity(
-        power in 0.0f64..600.0,
-        dpower in 1.0f64..100.0,
-        t_cool in 15.0f64..45.0,
-        frac in 0.05f64..1.0,
-    ) {
-        let p = ColdPlate::gpu();
-        let q = p.q_design * frac;
-        let tj = p.junction_temperature(power, t_cool, q);
-        prop_assert!(tj >= t_cool);
-        prop_assert!(p.junction_temperature(power + dpower, t_cool, q) >= tj);
-        prop_assert!(p.junction_temperature(power, t_cool, q * 0.5) >= tj - 1e-9);
     }
 
     /// Fluid properties stay physical over the operating band.

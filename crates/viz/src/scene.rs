@@ -218,23 +218,6 @@ impl SceneGraph {
         self.root.count()
     }
 
-    /// Nodes visible at a given LOD (Far shows only containers).
-    pub fn visible_at(&self, lod: LodLevel) -> usize {
-        fn walk(node: &SceneNode, lod: LodLevel, acc: &mut usize) {
-            // A node renders once the view zooms in at least to the
-            // node's coarsest visibility level.
-            if lod >= node.min_lod {
-                *acc += 1;
-            }
-            for c in &node.children {
-                walk(c, lod, acc);
-            }
-        }
-        let mut n = 0;
-        walk(&self.root, lod, &mut n);
-        n
-    }
-
     /// Export to pretty JSON for an external renderer.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("scene serialises")
@@ -287,11 +270,18 @@ mod tests {
         assert_eq!(scene, back);
     }
 
+    /// Nodes a view at `lod` renders: a node renders once the view zooms
+    /// in at least to its coarsest visibility level.
+    fn visible_at(node: &SceneNode, lod: LodLevel) -> usize {
+        usize::from(lod >= node.min_lod)
+            + node.children.iter().map(|c| visible_at(c, lod)).sum::<usize>()
+    }
+
     #[test]
     fn lod_filtering_reduces_node_count() {
         let scene = SceneGraph::frontier();
-        let near = scene.visible_at(LodLevel::Near);
-        let far = scene.visible_at(LodLevel::Far);
+        let near = visible_at(&scene.root, LodLevel::Near);
+        let far = visible_at(&scene.root, LodLevel::Far);
         assert!(far < near, "far {far} vs near {near}");
         // Far LOD: just the containers.
         assert!(far <= 4, "far={far}");
