@@ -14,6 +14,7 @@ use crate::controls::PlantControls;
 use crate::plant::Plant;
 use crate::spec::PlantSpec;
 use exadigit_sim::fmi::{Causality, CoSimModel, FmiError, VarRef, VariableDescriptor, VariableRegistry};
+use exadigit_thermo::psychro;
 
 /// The cooling model: plant + controls + variable registry.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
@@ -38,6 +39,17 @@ pub struct CoolingModel {
 /// Indices of the named inputs within the registry.
 const VR_WET_BULB_OFFSET: usize = 0; // after the cdu heat block
 const VR_IT_POWER_OFFSET: usize = 1;
+
+/// Refuse a wet-bulb input `value` for `vr` outside
+/// [`psychro::VALID_RANGE_C`], NaN included: past it the tower model's
+/// ε-NTU algebra leaves its domain. Every backend that steps the plant
+/// checks its wet-bulb input here before storing it.
+pub fn check_wet_bulb(vr: VarRef, value: f64) -> Result<(), FmiError> {
+    if psychro::VALID_RANGE_C.contains(&value) {
+        return Ok(());
+    }
+    Err(FmiError::OutOfRange { vr, name: "wet_bulb".into(), value, range: psychro::VALID_RANGE_C })
+}
 
 impl CoolingModel {
     /// Generate a model from a plant specification (the AutoCSM path).
@@ -287,6 +299,7 @@ impl CoSimModel for CoolingModel {
                 if idx < n {
                     self.cdu_heat_w[idx] = value.max(0.0);
                 } else if idx == n + VR_WET_BULB_OFFSET {
+                    check_wet_bulb(vr, value)?;
                     self.wet_bulb_c = value;
                 } else if idx == n + VR_IT_POWER_OFFSET {
                     self.it_power_w = value.max(0.0);
@@ -409,6 +422,19 @@ mod tests {
             m.set_real(out_vr, 1.0),
             Err(FmiError::WrongCausality { .. })
         ));
+    }
+
+    #[test]
+    fn wet_bulb_outside_the_tower_range_is_refused() {
+        let mut m = CoolingModel::frontier();
+        m.setup(0.0);
+        let wb = VarRef(25);
+        for bad in [60.5, -40.5, f64::NAN, 1e6] {
+            assert!(matches!(m.set_real(wb, bad), Err(FmiError::OutOfRange { .. })), "{bad}");
+        }
+        assert_eq!(m.get_real(wb).unwrap(), 0.0, "a refused value is not stored");
+        m.set_real(wb, 60.0).unwrap();
+        assert_eq!(m.get_real(wb).unwrap(), 60.0);
     }
 
     #[test]

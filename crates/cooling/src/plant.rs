@@ -488,32 +488,40 @@ impl Plant {
         let p_return = prim_sol.pressure(self.primary_return_node);
         let p_ct_header = ct_sol.pressure(self.tower_header_node);
 
-        // Pump powers.
+        // Pump powers; each family's pumps share one rated power.
+        let htwp_rated = self.primary_pump.rated_power();
         for (i, &b) in self.primary_pump_branches.iter().enumerate() {
             let speed = if (i as u32) < self.state.htwp_staged { self.state.htwp_speed } else { 0.0 };
-            self.state.htwp_power_w[i] =
-                self.primary_pump.electrical_power(prim_sol.flow(b).max(0.0), speed, 32.0);
+            self.state.htwp_power_w[i] = self.primary_pump.electrical_power_at(
+                htwp_rated,
+                prim_sol.flow(b).max(0.0),
+                speed,
+                32.0,
+            );
         }
+        let ctwp_rated = self.tower_pump.rated_power();
         for (i, &b) in self.tower_pump_branches.iter().enumerate() {
             let speed = if (i as u32) < self.state.ctwp_staged { self.state.ctwp_speed } else { 0.0 };
             self.state.ctwp_power_w[i] =
-                self.tower_pump.electrical_power(ct_sol.flow(b).max(0.0), speed, 26.0);
+                self.tower_pump.electrical_power_at(ctwp_rated, ct_sol.flow(b).max(0.0), speed, 26.0);
         }
 
         // --- Thermal sub-stepping ---
         let substeps = (dt_s / self.spec.thermal_substep_s).ceil().max(1.0) as usize;
         let h = dt_s / substeps as f64;
 
-        // CDU secondary loops: analytic pump/system operating point, and
-        // everything the sub-steps need that depends only on this step's
-        // flows.
-        let mut cdu_flows = Vec::with_capacity(self.spec.num_cdus);
+        // CDU secondary loops: the analytic pump/system operating point
+        // first, then everything the sub-steps need that depends only on
+        // this step's flows. The second pass holds each CDU's `powf` and
+        // `exp`, so the CPU overlaps them across CDUs instead of queueing
+        // each behind its own CDU's operating point.
         let mut cdu_pump_total = 0.0;
+        let cdu_pump_rated = self.cdu_pump.rated_power();
         for i in 0..self.spec.num_cdus {
             let speed = self.state.cdus[i].pump_speed;
             let k_eff = self.k_cdu_secondary * self.blockage_factor[i];
             let q = self.cdu_pump.operating_flow(k_eff, speed, 32.0);
-            let power = self.cdu_pump.electrical_power(q, speed, 32.0);
+            let power = self.cdu_pump.electrical_power_at(cdu_pump_rated, q, speed, 32.0);
             cdu_pump_total += power;
             let cdu = &mut self.state.cdus[i];
             cdu.secondary_flow_m3s = q;
@@ -524,24 +532,30 @@ impl Plant {
             // Secondary gauge pressures: discharge = loop drop + static.
             cdu.secondary_supply_pressure_pa = 150_000.0 + k_eff * q * q;
             cdu.secondary_return_pressure_pa = 150_000.0;
-
-            let mdot_sec = mass_flow(Fluid::Water, q.max(1e-6), 32.0);
-            let mdot_prim = mass_flow(Fluid::Water, cdu.primary_flow_m3s.max(1e-9), 32.0);
-            let (ret, sup) = (&self.cdu_sec_return[i], &self.cdu_sec_supply[i]);
-            let return_decay = ret.decay(mdot_sec, h);
-            cdu_flows.push(CduFlows {
-                mdot_sec,
-                mdot_prim,
-                hex_ua: self.cdu_hex.ua(mdot_sec, mdot_prim),
-                return_decay,
-                // The loop's two halves hold the same mass, so one factor.
-                supply_decay: if sup.mass_kg == ret.mass_kg {
-                    return_decay
-                } else {
-                    sup.decay(mdot_sec, h)
-                },
-            });
         }
+        let cdu_flows: Vec<CduFlows> = self
+            .state
+            .cdus
+            .iter()
+            .zip(self.cdu_sec_return.iter().zip(&self.cdu_sec_supply))
+            .map(|(cdu, (ret, sup))| {
+                let mdot_sec = mass_flow(Fluid::Water, cdu.secondary_flow_m3s.max(1e-6), 32.0);
+                let mdot_prim = mass_flow(Fluid::Water, cdu.primary_flow_m3s.max(1e-9), 32.0);
+                let return_decay = ret.decay(mdot_sec, h);
+                CduFlows {
+                    mdot_sec,
+                    mdot_prim,
+                    hex_ua: self.cdu_hex.ua(mdot_sec, mdot_prim),
+                    return_decay,
+                    // The loop's two halves hold the same mass, so one factor.
+                    supply_decay: if sup.mass_kg == ret.mass_kg {
+                        return_decay
+                    } else {
+                        sup.decay(mdot_sec, h)
+                    },
+                }
+            })
+            .collect();
 
         let mdot_prim_total = mass_flow(Fluid::Water, q_prim_total.max(1e-6), 32.0);
         let mdot_ct_total = mass_flow(Fluid::Water, q_ct_total.max(1e-6), 26.0);
@@ -557,43 +571,49 @@ impl Plant {
         let cell_ntu = self.tower_cell.ntu(per_cell, self.state.fan_speed);
         let mut heat_rejected = 0.0;
 
+        // Each CDU's chain (racks → return volume → HEX-1600 → supply
+        // volume) reads only its own volumes and the hall supply, so each
+        // sub-step runs it phase by phase across all CDUs and the chains
+        // overlap; only the primary-return mix is ordered.
+        let mut cdu_hex = Vec::with_capacity(self.spec.num_cdus);
+        let mut t_htws_hall = self.state.htws_temp_c;
         for _ in 0..substeps {
             // Primary supply reaches the data hall after the pipe delay.
-            let t_htws_hall =
-                self.supply_delay.step(self.cep_supply_vol.temperature, q_prim_total, h);
+            t_htws_hall = self.supply_delay.step(self.cep_supply_vol.temperature, q_prim_total, h);
 
-            // CDU loops; their primary returns mix on the way back.
-            let mut prim_return = StreamMixer::default();
-            for (i, f) in cdu_flows.iter().enumerate() {
-                // Racks heat the secondary stream (eq. 7 inverse).
-                let t_rack_out = temperature_rise(
-                    Fluid::Water,
-                    self.cdu_sec_supply[i].temperature,
-                    f.mdot_sec,
-                    cdu_heat_w[i],
-                );
-                self.cdu_sec_return[i].step_decayed(t_rack_out, f.mdot_sec, 0.0, h, f.return_decay);
+            // Racks heat the secondary stream (eq. 7 inverse).
+            for ((ret, sup), (f, &heat)) in self
+                .cdu_sec_return
+                .iter_mut()
+                .zip(&self.cdu_sec_supply)
+                .zip(cdu_flows.iter().zip(cdu_heat_w))
+            {
+                let t_rack_out = temperature_rise(Fluid::Water, sup.temperature, f.mdot_sec, heat);
+                ret.step_decayed(t_rack_out, f.mdot_sec, f.return_decay);
+            }
 
-                // HEX-1600: secondary (hot) against primary (cold).
+            // HEX-1600: secondary (hot) against primary (cold).
+            cdu_hex.clear();
+            for ((sup, ret), f) in
+                self.cdu_sec_supply.iter_mut().zip(&self.cdu_sec_return).zip(&cdu_flows)
+            {
                 let hx = self.cdu_hex.evaluate_at_ua(
                     f.hex_ua,
-                    self.cdu_sec_return[i].temperature,
+                    ret.temperature,
                     f.mdot_sec,
                     t_htws_hall,
                     f.mdot_prim,
                 );
-                self.cdu_sec_supply[i].step_decayed(hx.t_hot_out, f.mdot_sec, 0.0, h, f.supply_decay);
-                prim_return.add(f.mdot_prim, hx.t_cold_out);
-
-                let cdu = &mut self.state.cdus[i];
-                cdu.hex_heat_w = hx.heat_w;
-                cdu.primary_supply_temp_c = t_htws_hall;
-                cdu.primary_return_temp_c = hx.t_cold_out;
-                cdu.secondary_supply_temp_c = self.cdu_sec_supply[i].temperature;
-                cdu.secondary_return_temp_c = self.cdu_sec_return[i].temperature;
+                sup.step_decayed(hx.t_hot_out, f.mdot_sec, f.supply_decay);
+                cdu_hex.push(hx);
             }
 
-            // Mixed primary return travels back to the CEP.
+            // The primary returns mix, in CDU order, and travel back to
+            // the CEP.
+            let mut prim_return = StreamMixer::default();
+            for (f, hx) in cdu_flows.iter().zip(&cdu_hex) {
+                prim_return.add(f.mdot_prim, hx.t_cold_out);
+            }
             let t_htwr_cep = self.return_delay.step(prim_return.temperature(), q_prim_total, h);
 
             // EHX bank: primary (hot) against tower water (cold).
@@ -604,7 +624,7 @@ impl Plant {
                 self.basin.temperature,
                 mdot_ct_total,
             );
-            self.cep_supply_vol.step_decayed(ehx_res.t_hot_out, mdot_prim_total, 0.0, h, cep_decay);
+            self.cep_supply_vol.step_decayed(ehx_res.t_hot_out, mdot_prim_total, cep_decay);
 
             let cell_res = self.tower_cell.evaluate_at_ntu(
                 cell_ntu,
@@ -614,11 +634,27 @@ impl Plant {
                 self.state.fan_speed,
             );
             heat_rejected += cell_res.heat_rejected_w * n_cells as f64 * h;
-            self.basin.step_decayed(cell_res.t_water_out, mdot_ct_total, 0.0, h, basin_decay);
+            self.basin.step_decayed(cell_res.t_water_out, mdot_ct_total, basin_decay);
 
             self.state.htws_temp_c = t_htws_hall;
             self.state.htwr_temp_c = t_htwr_cep;
             self.state.basin_temp_c = self.basin.temperature;
+        }
+
+        // Each CDU's observable temperatures and heat, as of the last sub-step.
+        for (((cdu, hx), sup), ret) in self
+            .state
+            .cdus
+            .iter_mut()
+            .zip(&cdu_hex)
+            .zip(&self.cdu_sec_supply)
+            .zip(&self.cdu_sec_return)
+        {
+            cdu.hex_heat_w = hx.heat_w;
+            cdu.primary_supply_temp_c = t_htws_hall;
+            cdu.primary_return_temp_c = hx.t_cold_out;
+            cdu.secondary_supply_temp_c = sup.temperature;
+            cdu.secondary_return_temp_c = ret.temperature;
         }
 
         // Fan powers: active cells run at the shared speed.

@@ -7,25 +7,45 @@
 //! staging. After every step the `f64::to_bits` of every registry
 //! variable is folded into an FNV-1a hash: any change to the numbers the
 //! plant produces, down to the last bit of one output in one step, moves
-//! the hash. Solver and sub-step refactors must leave all three hashes as
-//! pinned here.
+//! the hash. After the run, the model's `save_state()` JSON is hashed the
+//! same way, so a refactor that changes a saved field (a cooled snapshot's
+//! bytes) moves that pin even if no output does. Solver and sub-step
+//! refactors must leave all six hashes as pinned here.
 
 use exadigit_cooling::{CoolingModel, PlantSpec};
 use exadigit_sim::fmi::{CoSimModel, VarRef};
 use std::collections::BTreeSet;
 
 const STEPS: u64 = 2_880;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a-64 hash of every variable after every step, and the staging
-/// regimes `(cells, HTWPs, EHXs)` the run visited.
-fn output_stream(spec: PlantSpec) -> (u64, BTreeSet<(u32, u32, u32)>) {
+/// `hash` with `bytes` folded in, FNV-1a-64.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// What a two-day run leaves behind.
+struct Run {
+    /// FNV-1a-64 of every variable after every step.
+    outputs: u64,
+    /// FNV-1a-64 of the `save_state()` JSON after the last step.
+    save: u64,
+    /// The staging regimes `(cells, HTWPs, EHXs)` the run visited.
+    regimes: BTreeSet<(u32, u32, u32)>,
+}
+
+fn output_stream(spec: PlantSpec) -> Run {
     let mut model = CoolingModel::new(spec).expect("preset spec is valid");
     model.setup(0.0);
     let n = model.spec().num_cdus;
     let heat_per_cdu = model.spec().heat_per_cdu_w();
     let (wet_bulb, it_power) = (VarRef(n as u32), VarRef(n as u32 + 1));
 
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     let mut regimes = BTreeSet::new();
     for k in 0..STEPS {
         if k % 20 == 0 {
@@ -43,31 +63,32 @@ fn output_stream(spec: PlantSpec) -> (u64, BTreeSet<(u32, u32, u32)>) {
         model.do_step(15.0 * k as f64, 15.0).unwrap();
 
         for v in model.variables() {
-            for byte in model.get_real(v.vr).unwrap().to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0100_0000_01b3);
-            }
+            hash = fnv1a(hash, &model.get_real(v.vr).unwrap().to_bits().to_le_bytes());
         }
         regimes.insert(model.staging_key());
     }
-    (hash, regimes)
+    let json = serde_json::to_string(&model.save_state().expect("the plant saves")).unwrap();
+    Run { outputs: hash, save: fnv1a(FNV_OFFSET, json.as_bytes()), regimes }
 }
 
 #[test]
 fn frontier_output_stream_is_pinned() {
-    let (hash, regimes) = output_stream(PlantSpec::frontier());
-    assert_eq!(hash, 0x540a_94b1_0945_9d7b, "Frontier output stream moved: {hash:016x}");
-    assert_eq!(regimes.len(), 8, "the schedule must cross staging regimes: {regimes:?}");
+    let run = output_stream(PlantSpec::frontier());
+    assert_eq!(run.outputs, 0x540a_94b1_0945_9d7b, "Frontier output stream moved: {:016x}", run.outputs);
+    assert_eq!(run.save, 0x2542_5f2e_a866_dae7, "Frontier saved state moved: {:016x}", run.save);
+    assert_eq!(run.regimes.len(), 8, "the schedule must cross staging regimes: {:?}", run.regimes);
 }
 
 #[test]
 fn setonix_like_output_stream_is_pinned() {
-    let (hash, _) = output_stream(PlantSpec::setonix_like());
-    assert_eq!(hash, 0xffd2_a3f1_2f88_4b0b, "Setonix-like output stream moved: {hash:016x}");
+    let run = output_stream(PlantSpec::setonix_like());
+    assert_eq!(run.outputs, 0xffd2_a3f1_2f88_4b0b, "Setonix-like output stream moved: {:016x}", run.outputs);
+    assert_eq!(run.save, 0x3caa_0498_0e8a_83f6, "Setonix-like saved state moved: {:016x}", run.save);
 }
 
 #[test]
 fn marconi100_like_output_stream_is_pinned() {
-    let (hash, _) = output_stream(PlantSpec::marconi100_like());
-    assert_eq!(hash, 0xbedb_c6b7_aad2_5c34, "Marconi100-like output stream moved: {hash:016x}");
+    let run = output_stream(PlantSpec::marconi100_like());
+    assert_eq!(run.outputs, 0xbedb_c6b7_aad2_5c34, "Marconi100-like output stream moved: {:016x}", run.outputs);
+    assert_eq!(run.save, 0xe378_de24_114f_0961, "Marconi100-like saved state moved: {:016x}", run.save);
 }

@@ -45,6 +45,7 @@
 //! the `online.*` local variables (surfaced in the service `Status`).
 
 use crate::surrogate::{Sample, Surrogate};
+use exadigit_cooling::model::check_wet_bulb;
 use exadigit_cooling::{CoolingModel, PlantSpec};
 use exadigit_sim::fmi::{
     Causality, CoSimModel, FmiError, VarRef, VariableDescriptor, VariableRegistry,
@@ -282,6 +283,13 @@ impl OnlineCoolingModel {
         })
     }
 
+    /// Check the payload a loaded save carries: the trainer's config and
+    /// every trusted fit, each by its own type's check.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.config.validate()?;
+        self.regimes.iter().filter_map(|r| r.surrogate.as_ref()).try_for_each(Surrogate::validate)
+    }
+
     /// Quanta answered by a trusted per-regime fit so far.
     pub fn l3_steps(&self) -> u64 {
         self.l3_steps
@@ -448,6 +456,9 @@ impl CoSimModel for OnlineCoolingModel {
                     self.cdu_heat_w[idx] = value.max(0.0);
                     self.cdu_heat_w[idx]
                 } else if idx == n {
+                    // Checked here, not only by the plant: a re-settle
+                    // steps the plant with the stored value first.
+                    check_wet_bulb(vr, value)?;
                     self.wet_bulb_c = value;
                     value
                 } else {
@@ -565,6 +576,16 @@ mod tests {
             fallback_settle_steps: 10,
             ..OnlineSurrogateConfig::default()
         }
+    }
+
+    #[test]
+    fn wet_bulb_outside_the_tower_range_is_refused_before_any_settle() {
+        let mut m = OnlineCoolingModel::new(&PlantSpec::marconi100_like(), fast_config()).unwrap();
+        let wb = VarRef(m.cdu_heat_w.len() as u32);
+        assert!(matches!(m.set_real(wb, 61.0), Err(FmiError::OutOfRange { .. })));
+        assert_eq!(m.wet_bulb_c, 15.0, "a refused value is not stored");
+        m.set_real(wb, 30.0).unwrap();
+        assert_eq!(m.wet_bulb_c, 30.0);
     }
 
     #[test]

@@ -247,7 +247,10 @@ impl DigitalTwin {
 /// Deserialize a cooling model's captured state back into the concrete
 /// backend type the configuration names. The state blob is the one the
 /// model's [`CoSimModel::save_state`] produced, so each arm is a plain
-/// `from_value` of the backend's own struct.
+/// `from_value` of the backend's own struct. The blob carries its own
+/// copy of the backend's payload (the online trainer's config, a fitted
+/// surrogate, a replay trace), which passes the same check as the
+/// config's copy.
 fn rebuild_cooling_model(
     backend: &CoolingBackend,
     state: &serde::Value,
@@ -256,23 +259,27 @@ fn rebuild_cooling_model(
         CoolingBackend::None => {
             Err("snapshot carries cooling state but the config's backend is None".to_string())
         }
-        CoolingBackend::Plant => Ok(Box::new(
-            <CoolingModel as serde::Deserialize>::from_value(state)
-                .map_err(|e| format!("invalid L4 plant state in snapshot: {e}"))?,
-        )),
-        CoolingBackend::Surrogate(_) => Ok(Box::new(
-            <SurrogateCoolingModel as serde::Deserialize>::from_value(state)
-                .map_err(|e| format!("invalid L3 surrogate state in snapshot: {e}"))?,
-        )),
-        CoolingBackend::Online(_) => Ok(Box::new(
-            <OnlineCoolingModel as serde::Deserialize>::from_value(state)
-                .map_err(|e| format!("invalid online L3/L4 state in snapshot: {e}"))?,
-        )),
-        CoolingBackend::Replay(_) => Ok(Box::new(
-            <ReplayCoolingModel as serde::Deserialize>::from_value(state)
-                .map_err(|e| format!("invalid L2 replay state in snapshot: {e}"))?,
-        )),
+        CoolingBackend::Plant => rebuild::<CoolingModel>(state, "L4 plant", |_| Ok(())),
+        CoolingBackend::Surrogate(_) => {
+            rebuild(state, "L3 surrogate", |m: &SurrogateCoolingModel| m.surrogate().validate())
+        }
+        CoolingBackend::Online(_) => rebuild(state, "online L3/L4", OnlineCoolingModel::validate),
+        CoolingBackend::Replay(_) => {
+            rebuild(state, "L2 replay", |m: &ReplayCoolingModel| m.trace().validate())
+        }
     }
+}
+
+/// `state` as an `M`, refused unless `check` passes.
+fn rebuild<M: CoSimModel + serde::Deserialize + 'static>(
+    state: &serde::Value,
+    what: &str,
+    check: impl Fn(&M) -> Result<(), String>,
+) -> Result<Box<dyn CoSimModel>, String> {
+    let model =
+        M::from_value(state).map_err(|e| format!("invalid {what} state in snapshot: {e}"))?;
+    check(&model)?;
+    Ok(Box::new(model))
 }
 
 #[cfg(test)]

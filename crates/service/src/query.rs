@@ -22,6 +22,7 @@
 
 use crate::snapshot::TwinSnapshot;
 use exadigit_core::config::CoolingBackend;
+use exadigit_core::thermo::psychro;
 use exadigit_core::twin::DigitalTwin;
 use exadigit_raps::job::Job;
 use exadigit_raps::power::PowerDelivery;
@@ -91,7 +92,10 @@ impl WhatIfSpec {
     /// physical: at `component_power_rel` = 0.25 a negative rating is
     /// already a 4-σ draw, and `perturb_config` clamps each efficiency to
     /// a band about 0.1 wide, so an efficiency σ above 0.05 only piles
-    /// draws onto the band's edges. A backend swap is checked by
+    /// draws onto the band's edges. A constant wet-bulb must lie in the
+    /// tower model's [`psychro::VALID_RANGE_C`]; an offset is checked
+    /// where it meets the forcing, by the plant backends' `set_real`, so
+    /// no query scans the series. A backend swap is checked by
     /// [`CoolingBackend::validate`].
     pub fn validate(&self) -> Result<(), String> {
         const MAX_HORIZON_S: u64 = 366 * 86_400;
@@ -114,7 +118,14 @@ impl WhatIfSpec {
         };
         finite("wet_bulb_offset_c", self.wet_bulb_offset_c)?;
         if let Some(c) = self.wet_bulb_c {
-            finite("wet_bulb_c", c)?;
+            let range = psychro::VALID_RANGE_C;
+            if !range.contains(&c) {
+                return Err(format!(
+                    "wet_bulb_c must lie within the tower model's {}..={} °C, got {c}",
+                    range.start(),
+                    range.end()
+                ));
+            }
         }
         let p = &self.perturbations;
         for (name, sigma, cap) in [
@@ -502,6 +513,14 @@ mod tests {
             ..WhatIfSpec::default()
         };
         assert!(fine.validate().is_ok());
+        // A constant wet-bulb must lie in the tower model's range, edges
+        // included.
+        let forced = |c| WhatIfSpec { wet_bulb_c: Some(c), ..WhatIfSpec::default() };
+        assert!(forced(-40.0).validate().is_ok() && forced(60.0).validate().is_ok());
+        for c in [-40.5, 60.5, 1e6] {
+            let e = forced(c).validate().expect_err("outside the range");
+            assert!(e.contains("wet_bulb_c"), "{e}");
+        }
     }
 
     #[test]

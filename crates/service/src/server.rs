@@ -935,16 +935,66 @@ mod tests {
 
     #[test]
     fn a_huge_wet_bulb_under_a_fitted_surrogate_is_an_error_and_not_cached() {
-        // Every spec validates (1e200 is finite), but the fit's wet-bulb
-        // square overflows, so the answer's PUE is not finite, on the
-        // single-draw return and on the UQ return alike.
+        // A constant of 1e200 is refused by the spec's own check. An
+        // offset of 1e200 validates (it is finite, and no query scans the
+        // forcing), but the fit's wet-bulb square overflows, so the
+        // answer's PUE is not finite, on the single-draw return and on
+        // the UQ return alike.
         let fitted = CoolingBackend::Surrogate(SurrogateSource::Fitted(fitted_surrogate()));
         let forced = WhatIfSpec { wet_bulb_c: Some(1e200), ..with_backend(fitted.clone()) };
+        assert_spec_refused(forced, "wet_bulb_c");
         let shifted = WhatIfSpec { wet_bulb_offset_c: 1e200, ..with_backend(fitted) };
-        let drawn = WhatIfSpec { draws: 2, ..forced.clone() };
-        for spec in [forced, shifted, drawn] {
+        let drawn = WhatIfSpec { draws: 2, ..shifted.clone() };
+        for spec in [shifted, drawn] {
             assert!(spec.validate().is_ok());
             assert_spec_refused(spec, "final_pue");
+        }
+    }
+
+    #[test]
+    fn a_plant_wet_bulb_outside_the_tower_range_is_an_error_and_not_cached() {
+        // Unchecked, ±1e6 °C panics the plant's ε-NTU debug assertion,
+        // and in a release build every probe answers a meaningless PUE.
+        for wet_bulb in [1e6, -1e6, 300.0, 1e200] {
+            let spec = WhatIfSpec {
+                horizon_s: 900,
+                wet_bulb_c: Some(wet_bulb),
+                ..with_backend(CoolingBackend::Plant)
+            };
+            assert_spec_refused(spec, "wet_bulb_c");
+        }
+    }
+
+    #[test]
+    fn a_wet_bulb_offset_past_the_tower_range_ends_the_fork_with_an_error() {
+        // The offset validates; each backend that steps the plant refuses
+        // the shifted forcing at its wet-bulb input, the online trainer
+        // before its re-settle could reach the plant.
+        let online = CoolingBackend::Online(OnlineSurrogateConfig::default());
+        for backend in [CoolingBackend::Plant, online] {
+            let spec = WhatIfSpec { horizon_s: 900, wet_bulb_offset_c: 100.0, ..with_backend(backend) };
+            assert!(spec.validate().is_ok());
+            assert_spec_refused(spec, "wet_bulb");
+        }
+    }
+
+    #[test]
+    fn an_in_range_wet_bulb_override_under_the_plant_still_answers() {
+        let svc = service();
+        svc.handle(&Request::Advance { seconds: 3_600 });
+        let Response::SnapshotTaken(info) =
+            svc.handle(&Request::Snapshot { label: "base".into() })
+        else {
+            panic!()
+        };
+        let plant = || WhatIfSpec { horizon_s: 900, ..with_backend(CoolingBackend::Plant) };
+        let forced = WhatIfSpec { wet_bulb_c: Some(22.0), ..plant() };
+        let shifted = WhatIfSpec { wet_bulb_offset_c: 2.5, ..plant() };
+        for spec in [forced, shifted] {
+            let r = svc.handle(&Request::Query { snapshot_id: info.id, spec });
+            let Response::Answer { outcome, .. } = &r else { panic!("{r:?}") };
+            let pue = outcome.final_pue.expect("the plant reports a PUE");
+            assert!((1.0..1.5).contains(&pue), "pue={pue}");
         }
     }
 

@@ -62,6 +62,17 @@ pub enum FmiError {
     SolverFailure(String),
     /// Step arguments were invalid (negative step, time mismatch...).
     InvalidStep(String),
+    /// An input value lies outside the range the model is valid over.
+    OutOfRange {
+        /// The input refused.
+        vr: VarRef,
+        /// Its registry name.
+        name: String,
+        /// The value refused.
+        value: f64,
+        /// The values the input accepts.
+        range: std::ops::RangeInclusive<f64>,
+    },
 }
 
 impl fmt::Display for FmiError {
@@ -73,6 +84,13 @@ impl fmt::Display for FmiError {
             }
             FmiError::SolverFailure(msg) => write!(f, "solver failure: {msg}"),
             FmiError::InvalidStep(msg) => write!(f, "invalid step: {msg}"),
+            FmiError::OutOfRange { vr, name, value, range } => write!(
+                f,
+                "input {name} (value reference {}) = {value} is outside the model's range {}..={}",
+                vr.0,
+                range.start(),
+                range.end()
+            ),
         }
     }
 }

@@ -95,13 +95,15 @@ impl TransportDelay {
     }
 }
 
-/// A well-mixed thermal volume (lumped capacitance):
-/// `M·cp·dT/dt = ṁ·cp·(T_in − T) + Q_ext`.
+/// A well-mixed thermal volume (lumped capacitance) with no heat source of
+/// its own: `M·dT/dt = ṁ·(T_in − T)`. Heat enters and leaves only with the
+/// flow, so the update needs no fluid property.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThermalVolume {
     /// Fluid mass in the volume, kg.
     pub mass_kg: f64,
-    /// Fluid for property evaluation.
+    /// Fluid held. The update reads no property of it; it stays part of
+    /// the saved state.
     pub fluid: Fluid,
     /// Current temperature, °C.
     pub temperature: f64,
@@ -114,37 +116,31 @@ impl ThermalVolume {
         ThermalVolume { mass_kg, fluid, temperature: initial_temp }
     }
 
-    /// Advance by `dt` seconds with inlet `t_in` °C at `mdot` kg/s and
-    /// external heat `q_ext_w` W (positive heats the volume). Uses the
-    /// exact exponential update for the linear ODE so arbitrarily long
+    /// Advance by `dt` seconds with inlet `t_in` °C at `mdot` kg/s. Uses
+    /// the exact exponential update for the linear ODE so arbitrarily long
     /// steps remain stable (important: the cooling model steps at 15 s but
     /// CDU volumes have time constants of the same order).
-    pub fn step(&mut self, t_in: f64, mdot: f64, q_ext_w: f64, dt: f64) {
-        self.step_decayed(t_in, mdot, q_ext_w, dt, self.decay(mdot, dt));
+    pub fn step(&mut self, t_in: f64, mdot: f64, dt: f64) {
+        self.step_decayed(t_in, mdot, self.decay(mdot, dt));
     }
 
     /// The factor `exp(−ṁ/M · dt)` by which a step of `dt` seconds at
-    /// `mdot` kg/s shrinks the distance to the equilibrium temperature. It
+    /// `mdot` kg/s shrinks the distance to the inlet temperature. It
     /// depends on flow only, so a caller taking many steps at one flow
     /// computes it once and passes it to [`Self::step_decayed`].
     pub fn decay(&self, mdot: f64, dt: f64) -> f64 {
-        // dT/dt = a(T_inf - T) with a = mdot/M.
+        // dT/dt = a(T_in - T) with a = mdot/M.
         let a = mdot / self.mass_kg;
         (-a * dt).exp()
     }
 
-    /// [`Self::step`] with the decay factor for this `mdot` and `dt` given.
-    pub fn step_decayed(&mut self, t_in: f64, mdot: f64, q_ext_w: f64, dt: f64, decay: f64) {
-        let cp = self.fluid.specific_heat(self.temperature);
-        let c_thermal = self.mass_kg * cp;
+    /// [`Self::step`] with the decay factor for this `mdot` and step given.
+    pub fn step_decayed(&mut self, t_in: f64, mdot: f64, decay: f64) {
         if mdot <= 1e-12 {
-            // Pure integration of external heat.
-            self.temperature += q_ext_w * dt / c_thermal;
+            // No flow: a stagnant volume holds its temperature.
             return;
         }
-        // T_inf = t_in + q/(mdot cp).
-        let t_inf = t_in + q_ext_w / (mdot * cp);
-        self.temperature = t_inf + (self.temperature - t_inf) * decay;
+        self.temperature = t_in + (self.temperature - t_in) * decay;
     }
 }
 
@@ -203,40 +199,27 @@ mod tests {
     fn thermal_volume_approaches_inlet() {
         let mut v = ThermalVolume::new(500.0, Fluid::Water, 20.0);
         for _ in 0..1000 {
-            v.step(35.0, 10.0, 0.0, 1.0);
+            v.step(35.0, 10.0, 1.0);
         }
         assert!((v.temperature - 35.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn thermal_volume_heat_raises_steady_state() {
-        // Steady state: T = T_in + Q/(mdot cp).
-        let mut v = ThermalVolume::new(500.0, Fluid::Water, 20.0);
-        let q = 100_000.0;
-        let mdot = 5.0;
-        for _ in 0..5000 {
-            v.step(20.0, mdot, q, 1.0);
-        }
-        let cp = Fluid::Water.specific_heat(v.temperature);
-        let expected = 20.0 + q / (mdot * cp);
-        assert!((v.temperature - expected).abs() < 0.05, "T={}", v.temperature);
     }
 
     #[test]
     fn thermal_volume_stable_at_long_steps() {
         // Exponential update must not overshoot even when dt >> tau.
         let mut v = ThermalVolume::new(10.0, Fluid::Water, 20.0);
-        v.step(40.0, 100.0, 0.0, 3600.0);
+        v.step(40.0, 100.0, 3600.0);
         assert!((v.temperature - 40.0).abs() < 1e-6);
         assert!(v.temperature <= 40.0 + 1e-9);
     }
 
     #[test]
-    fn thermal_volume_no_flow_integrates_heat() {
-        let mut v = ThermalVolume::new(100.0, Fluid::Water, 20.0);
-        let cp = Fluid::Water.specific_heat(20.0);
-        v.step(99.0, 0.0, 1000.0, 60.0);
-        let expected = 20.0 + 1000.0 * 60.0 / (100.0 * cp);
-        assert!((v.temperature - expected).abs() < 1e-6);
+    fn thermal_volume_no_flow_holds_temperature() {
+        // A stagnant volume keeps its temperature bit for bit, whatever
+        // the (not arriving) inlet and however long the step.
+        let mut v = ThermalVolume::new(100.0, Fluid::Water, 20.3);
+        v.step(99.0, 0.0, 60.0);
+        v.step(-5.0, 1e-13, 3600.0);
+        assert_eq!(v.temperature.to_bits(), 20.3f64.to_bits());
     }
 }

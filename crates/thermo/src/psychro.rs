@@ -11,8 +11,14 @@
 /// Standard atmospheric pressure, Pa.
 pub const P_ATM: f64 = 101_325.0;
 
+/// Temperatures (°C) over which [`saturation_pressure`] is valid, and so
+/// the wet-bulb inputs the tower model accepts: outside it the ε-NTU
+/// algebra leaves its domain and answers nothing physical.
+pub const VALID_RANGE_C: std::ops::RangeInclusive<f64> = -40.0..=60.0;
+
 /// Saturation vapour pressure over liquid water (Pa) at temperature `t`
-/// (°C), Magnus–Tetens form. Valid −40…+60 °C; error < 0.3 % over 0–50 °C.
+/// (°C), Magnus–Tetens form. Valid over [`VALID_RANGE_C`]; error < 0.3 %
+/// over 0–50 °C.
 pub fn saturation_pressure(t: f64) -> f64 {
     610.94 * ((17.625 * t) / (t + 243.04)).exp()
 }

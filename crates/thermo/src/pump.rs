@@ -116,13 +116,20 @@ impl Pump {
     /// Electrical power drawn (W) at flow `q` (m³/s), speed `s`, temp `t` °C.
     /// Includes a small standby term so an idling, spinning pump is not free.
     pub fn electrical_power(&self, q: f64, s: f64, t: f64) -> f64 {
+        self.electrical_power_at(self.rated_power(), q, s, t)
+    }
+
+    /// [`Self::electrical_power`] with this pump's [`Self::rated_power`]
+    /// given. The rated power depends on the pump's constants only, so a
+    /// caller evaluating many pumps of one family computes it once.
+    pub fn electrical_power_at(&self, rated_w: f64, q: f64, s: f64, t: f64) -> f64 {
         if s <= 0.0 {
             return 0.0;
         }
         let hydraulic = self.fluid.density(t) * G * self.head(q, s) * q.max(0.0);
         let shaft = hydraulic / self.efficiency(q, s);
         // Windage/bearing losses scale with the cube of speed.
-        let standby = 0.02 * self.rated_power() * s * s * s;
+        let standby = 0.02 * rated_w * s * s * s;
         shaft / self.motor_efficiency + standby
     }
 

@@ -19,6 +19,7 @@
 //! recorded series stays bit-identical.
 
 use exadigit_core::config::{CoolingBackend, TwinConfig};
+use exadigit_core::online::OnlineSurrogateConfig;
 use exadigit_core::twin::DigitalTwin;
 use exadigit_raps::config::{PartitionConfig, SystemConfig};
 use exadigit_raps::job::Job;
@@ -232,6 +233,28 @@ fn a_save_with_a_zero_record_cadence_is_refused_on_load() {
     match DigitalTwin::from_state(&value) {
         Ok(_) => panic!("a zero record cadence must be refused"),
         Err(e) => assert!(e.contains("record_every_s"), "{e}"),
+    }
+}
+
+/// A save carries the cooling backend's payload twice: in the config,
+/// which the load validates, and in the model state the model is rebuilt
+/// from. Unchecked, an online save whose model state alone says
+/// `max_samples: 0` loads, and its next run takes a remainder by zero
+/// once a regime fills; the load must refuse it with a typed error.
+#[test]
+fn a_save_whose_model_state_alone_is_invalid_is_refused_on_load() {
+    let config = TwinConfig::marconi100_like()
+        .with_backend(CoolingBackend::Online(OnlineSurrogateConfig::default()));
+    let twin = DigitalTwin::new(config).unwrap();
+    let json = twin.to_snapshot_json().unwrap();
+    let field = r#""max_samples":2048"#;
+    let model_copy = json.rfind(field).expect("the model state's copy");
+    assert!(json.find(field).unwrap() < model_copy, "the config's copy comes first");
+    let tampered =
+        format!("{}\"max_samples\":0{}", &json[..model_copy], &json[model_copy + field.len()..]);
+    match DigitalTwin::from_snapshot_json(&tampered) {
+        Ok(_) => panic!("a model state with max_samples 0 must be refused"),
+        Err(e) => assert!(e.contains("max_samples"), "{e}"),
     }
 }
 
