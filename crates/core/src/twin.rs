@@ -32,7 +32,7 @@ use exadigit_viz::SceneGraph;
 /// [`DigitalTwin::from_state`] refuses other versions with an explicit
 /// error instead of deserializing garbage physics (policy in
 /// `docs/SERVICE.md` § "Durability and recovery").
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// A fully assembled digital twin.
 pub struct DigitalTwin {
@@ -460,17 +460,21 @@ mod tests {
     fn snapshot_version_mismatch_is_refused_loudly() {
         let twin = DigitalTwin::new(TwinConfig::frontier_power_only()).unwrap();
         let json = twin.to_snapshot_json().unwrap();
-        let bumped = json.replacen(
-            &format!("\"snapshot_format_version\":{SNAPSHOT_FORMAT_VERSION}"),
-            &format!("\"snapshot_format_version\":{}", SNAPSHOT_FORMAT_VERSION + 1),
-            1,
-        );
-        assert_ne!(json, bumped, "version stamp must appear in the JSON");
-        let err = match DigitalTwin::from_snapshot_json(&bumped) {
-            Err(e) => e,
-            Ok(_) => panic!("version-bumped snapshot must not load"),
-        };
-        assert!(err.contains("snapshot format version"), "err={err}");
+        // The next version, and version 1, whose saves carried the
+        // derived node pool, occupancy counts and power snapshot.
+        for other in [SNAPSHOT_FORMAT_VERSION + 1, 1] {
+            let bumped = json.replacen(
+                &format!("\"snapshot_format_version\":{SNAPSHOT_FORMAT_VERSION}"),
+                &format!("\"snapshot_format_version\":{other}"),
+                1,
+            );
+            assert_ne!(json, bumped, "version stamp must appear in the JSON");
+            let err = match DigitalTwin::from_snapshot_json(&bumped) {
+                Err(e) => e,
+                Ok(_) => panic!("a version {other} snapshot must not load"),
+            };
+            assert!(err.contains("snapshot format version"), "err={err}");
+        }
     }
 
     #[test]

@@ -23,27 +23,6 @@ impl Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Build from a row-major nested slice (rows must be equal length).
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Matrix { rows: r, cols: c, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -52,17 +31,6 @@ impl Matrix {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Matrix–vector product.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols);
-        let mut y = vec![0.0; self.rows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-        y
     }
 
     /// Solve `A·x = b` via LU with partial pivoting; consumes the matrix
@@ -149,17 +117,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The matrix with the given rows.
+    fn from_rows(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                m[(i, j)] = v;
+            }
+        }
+        m
+    }
+
     #[test]
     fn solve_identity() {
         let b = vec![1.0, 2.0, 3.0];
-        let x = Matrix::identity(3).solve(&b).unwrap();
+        let x = from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).solve(&b).unwrap();
         assert_eq!(x, b);
     }
 
     #[test]
     fn solve_hand_worked_system() {
         // 2x + y = 5; x + 3y = 10 -> x = 1, y = 3.
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let a = from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let x = a.solve(&[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -168,7 +147,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Zero on the initial diagonal: fails without partial pivoting.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let a = from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let x = a.solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -176,14 +155,8 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(a.solve(&[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn mul_vec_matches() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     proptest! {
@@ -206,7 +179,9 @@ mod tests {
                 a[(i, i)] = off_diag_sum + 1.0 + rng.uniform();
             }
             let x_true: Vec<f64> = (0..n).map(|_| rng.uniform_range(-10.0, 10.0)).collect();
-            let b = a.mul_vec(&x_true);
+            let b: Vec<f64> = (0..n)
+                .map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum())
+                .collect();
             let x = a.solve(&b).expect("diagonally dominant must solve");
             for (xi, ti) in x.iter().zip(&x_true) {
                 prop_assert!((xi - ti).abs() < 1e-8, "xi={} ti={}", xi, ti);

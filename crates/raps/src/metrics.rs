@@ -26,7 +26,9 @@ use exadigit_sim::events::{Event, EventKind};
 /// field is an `Arc`'d atomic).
 #[derive(Clone, Debug, Default)]
 pub struct KernelMetrics {
-    /// Job arrivals stepped as events.
+    /// Stepped seconds at which at least one job arrived. Arrivals are
+    /// read off the submit-ordered queue, not drained as events, so jobs
+    /// arriving together, or late in one second, count once.
     pub job_arrivals: Counter,
     /// Job completions stepped as events.
     pub job_completions: Counter,
@@ -67,7 +69,6 @@ impl KernelMetrics {
     pub fn note_events(&self, events: &[Event]) {
         for e in events {
             match e.kind {
-                EventKind::JobArrival => self.job_arrivals.inc(),
                 EventKind::JobCompletion => self.job_completions.inc(),
                 EventKind::WetBulbBreakpoint => self.wet_bulb_breakpoints.inc(),
                 EventKind::CoolingQuantum => self.cooling_quanta.inc(),

@@ -78,99 +78,57 @@ impl NodePool {
         NodePool { ranges, free, free_count }
     }
 
-    /// Check a pool this program did not build, such as one loaded from a
-    /// save, against the machine `cfg` and the node ids running jobs
-    /// hold, given as `(partition, ids)` pairs: partitions laid out as
-    /// [`Self::new`] lays them out; canonical free intervals that add up
-    /// to the free count; held ids inside their partition; and free
-    /// intervals and held ids that together cover each partition exactly
-    /// once. So every later allocation finds its ids free and every
-    /// release finds its ids taken. O(partitions + held ids + k log k)
-    /// for k free intervals and runs of consecutive held ids.
-    pub(crate) fn validate<'a>(
-        &self,
+    /// The pool of `cfg`'s machine with the node ids running jobs hold,
+    /// given as `(partition, ids)` pairs, taken: each partition's free
+    /// intervals are the gaps its held ids leave. Allocation and release
+    /// keep the free intervals canonical (maximal runs), so this is the
+    /// pool the kernel held beside those jobs. Fails when a partition does
+    /// not exist, or an id lies outside its partition or is held twice.
+    /// Needs a machine of at most `u32::MAX` nodes. O(partitions + held
+    /// ids + k log k) for k runs of consecutive held ids.
+    pub(crate) fn from_held<'a>(
         cfg: &SystemConfig,
         held: impl IntoIterator<Item = (usize, &'a [u32])>,
-    ) -> Result<(), String> {
-        let partitions = cfg.partitions.len();
-        if self.ranges.len() != partitions
-            || self.free.len() != partitions
-            || self.free_count.len() != partitions
-        {
-            return Err(format!("pool does not have the machine's {partitions} partitions"));
-        }
-        let span = |r: &PartitionRange| (u64::from(r.start), u64::from(r.start) + u64::from(r.len));
-        // Per partition: runs of consecutive held ids, then the free
-        // intervals, each as (start, len).
-        let mut cover: Vec<Vec<(u64, u64)>> = vec![Vec::new(); partitions];
+    ) -> Result<Self, String> {
+        let mut pool = NodePool::new(cfg);
+        // Per partition: runs of consecutive held ids as (start, len).
+        let mut held_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pool.ranges.len()];
         for (p, ids) in held {
-            let (Some(runs), Some(range)) = (cover.get_mut(p), self.ranges.get(p)) else {
+            let (Some(runs), Some(range)) = (held_runs.get_mut(p), pool.ranges.get(p)) else {
                 return Err(format!("a running job's partition {p} does not exist"));
             };
-            let (start, end) = span(range);
+            let end = u64::from(range.start) + u64::from(range.len);
             let mut rest = ids;
             while let Some(&first) = rest.first() {
                 let consecutive = |w: &[u32]| w[1].checked_sub(w[0]) == Some(1);
                 let len = 1 + rest.windows(2).take_while(|w| consecutive(w)).count();
-                let (at, stop) = (u64::from(first), u64::from(first) + len as u64);
-                if at < start || stop > end {
-                    let id = if at < start { at } else { at.max(end) };
+                if first < range.start || u64::from(first) + len as u64 > end {
+                    let id = u64::from(first).max(if first < range.start { 0 } else { end });
                     return Err(format!(
                         "pool partition {p}: a running job holds node {id}, outside it"
                     ));
                 }
-                runs.push((at, len as u64));
+                runs.push((first, len as u32));
                 rest = &rest[len..];
             }
         }
-        let mut next = 0u64;
-        for (p, ((range, part), runs)) in
-            self.ranges.iter().zip(&cfg.partitions).zip(&mut cover).enumerate()
-        {
-            let (start, end) = span(range);
-            if start != next || range.len as usize != part.nodes || end > 1 << 32 {
-                return Err(format!(
-                    "pool partition {p} is not the machine's {} nodes from id {next}",
-                    part.nodes
-                ));
-            }
-            next = end;
-            let (mut free, mut prev_stop) = (0u64, None);
-            for (&at, &len) in &self.free[p] {
-                let (at, len) = (u64::from(at), u64::from(len));
-                if len == 0 || prev_stop == Some(at) {
-                    return Err(format!("pool partition {p} has a free interval out of place"));
-                }
-                prev_stop = Some(at + len);
-                runs.push((at, len));
-                free += len;
-            }
-            if free != self.free_count[p] as u64 {
-                return Err(format!(
-                    "pool partition {p} counts {} free nodes but its intervals hold {free}",
-                    self.free_count[p]
-                ));
-            }
-            // Sorted, each run must start where the one before stopped,
-            // and the last stop at the partition's end.
+        for (p, runs) in held_runs.iter_mut().enumerate() {
             runs.sort_unstable();
-            let mut stop = start;
-            for &(at, len) in runs.iter().chain([&(end, 0)]) {
-                if at < stop {
-                    return Err(format!(
-                        "pool partition {p}: node {at} is held twice, or held and free"
-                    ));
+            let range = pool.ranges[p];
+            let (free, mut next) = (&mut pool.free[p], range.start);
+            free.clear();
+            for &(at, len) in runs.iter().chain([&(range.start + range.len, 0)]) {
+                if at < next {
+                    return Err(format!("pool partition {p}: node {at} is held twice"));
                 }
-                if at > stop {
-                    return Err(format!(
-                        "pool partition {p}: nodes {stop}..{at} are neither free nor held by a \
-                         running job"
-                    ));
+                if at > next {
+                    free.insert(next, at - next);
                 }
-                stop = at + len;
+                next = at + len;
             }
+            pool.free_count[p] = free.values().map(|&len| len as usize).sum();
         }
-        Ok(())
+        Ok(pool)
     }
 
     /// Number of partitions.
@@ -459,55 +417,69 @@ mod tests {
         assert_eq!(pool.available(0), 16);
     }
 
-    /// A pool loaded from a save must be shaped like the machine, keep
-    /// its free intervals canonical, and be covered exactly once by them
-    /// and the ids running jobs hold; each way of breaking that is refused.
+    /// A pool rebuilt from the ids running jobs hold is the pool their
+    /// allocations left; an id outside its partition or held twice, or a
+    /// partition that does not exist, is refused.
     #[test]
-    fn validate_refuses_a_pool_unlike_the_machine() {
+    fn from_held_refuses_ids_unlike_the_machine() {
         let cfg = small_config(16);
         let mut pool = NodePool::new(&cfg);
         let (a, b) = (pool.allocate(0, 3).unwrap(), pool.allocate(0, 2).unwrap());
-        let held = [(0, &a[..]), (0, &b[..])];
-        assert_eq!(pool.validate(&cfg, held), Ok(()));
-        let broken: [fn(&mut NodePool); 6] = [
-            |p| p.free_count[0] += 1,
-            |p| p.ranges[0].len = 15,
-            |p| *p = NodePool::new(&small_config(17)),
-            |p| {
-                p.free[0].insert(1, 1);
-            },
-            |p| {
-                p.free[0].insert(20, 1);
-            },
-            |p| {
-                // Adjacent to the interval at 5: not canonical.
-                p.free[0].insert(4, 1);
-                p.free_count[0] += 1;
-            },
-        ];
-        for (i, breaks) in broken.iter().enumerate() {
-            let mut p = pool.clone();
-            breaks(&mut p);
-            assert!(p.validate(&cfg, held).is_err(), "break {i} was accepted");
-        }
+        assert_eq!(NodePool::from_held(&cfg, [(0, &b[..]), (0, &a[..])]), Ok(pool));
         type Holds<'a> = &'a [(usize, &'a [u32])];
-        let wrong_holds: [(Holds, &str); 5] = [
+        let wrong_holds: [(Holds, &str); 4] = [
             (&[(0, &[0, 1, 2]), (0, &[3, 20])], "node 20, outside it"),
+            (&[(0, &[0, 1, 2]), (0, &[15, 16])], "node 16, outside it"),
             (&[(0, &[0, 1, 2]), (0, &[2, 3])], "node 2 is held twice"),
-            (&[(0, &[0, 1, 2]), (0, &[3, 4, 5])], "node 5 is held twice, or held and free"),
-            (&[(0, &[0, 1, 2])], "nodes 3..5 are neither free nor held"),
             (&[(0, &[0, 1, 2]), (1, &[3, 4])], "partition 1 does not exist"),
         ];
         for (holds, expect) in wrong_holds {
-            let err = pool.validate(&cfg, holds.iter().copied()).expect_err(expect);
+            let err = NodePool::from_held(&cfg, holds.iter().copied()).expect_err(expect);
             assert!(err.contains(expect), "{expect}: {err}");
         }
         let two = SystemConfig::setonix_like();
         let mut pool = NodePool::new(&two);
         let (cpu, gpu) = (pool.allocate(0, 10).unwrap(), pool.allocate(1, 4).unwrap());
-        assert_eq!(pool.validate(&two, [(0, &cpu[..]), (1, &gpu[..])]), Ok(()));
-        assert!(pool.validate(&two, [(1, &cpu[..]), (0, &gpu[..])]).is_err());
-        assert!(NodePool::new(&two).validate(&cfg, []).is_err());
+        assert_eq!(NodePool::from_held(&two, [(0, &cpu[..]), (1, &gpu[..])]), Ok(pool));
+        assert!(NodePool::from_held(&two, [(1, &cpu[..]), (0, &gpu[..])]).is_err());
+    }
+
+    proptest::proptest! {
+        /// Allocation and release keep the free intervals canonical, so
+        /// any sequence of them leaves the pool `from_held` rebuilds from
+        /// the ids still held, on one partition and on several.
+        #[test]
+        fn any_allocation_history_is_the_pool_its_held_ids_rebuild(
+            multi in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec((0usize..3, 1usize..40, 0usize..64), 1..80),
+        ) {
+            let cfg = if multi {
+                let mut cfg = SystemConfig::frontier();
+                cfg.partitions = vec![
+                    PartitionConfig { name: "cpu".into(), nodes: 50, gpus_per_node: 0 },
+                    PartitionConfig { name: "gpu".into(), nodes: 30, gpus_per_node: 4 },
+                    PartitionConfig { name: "big".into(), nodes: 70, gpus_per_node: 8 },
+                ];
+                cfg
+            } else {
+                small_config(100)
+            };
+            let mut pool = NodePool::new(&cfg);
+            let mut held: Vec<(usize, Vec<u32>)> = Vec::new();
+            for (part, n, pick) in ops {
+                let part = part % cfg.partitions.len();
+                if pick % 3 != 0 || held.is_empty() {
+                    if let Some(ids) = pool.allocate(part, n) {
+                        held.push((part, ids));
+                    }
+                } else {
+                    let (part, ids) = held.swap_remove(pick % held.len());
+                    pool.release(part, &ids);
+                }
+                let rebuilt = NodePool::from_held(&cfg, held.iter().map(|(p, ids)| (*p, &ids[..])));
+                proptest::prop_assert_eq!(rebuilt, Ok(pool.clone()));
+            }
+        }
     }
 
     #[test]

@@ -82,17 +82,24 @@ fn rack_counts_of(nodes: &[u32], nodes_per_rack: usize) -> impl Iterator<Item = 
     })
 }
 
-/// Accumulate `state`'s running jobs, at the utilization samples the last
-/// recompute took, and its idle nodes into `acc` under `model`. Each
-/// running job's node point is computed once, however many racks it
+/// Accumulate `running`, at the utilization samples the last recompute
+/// took, and the idle nodes `derived` counts into `acc` under `model`.
+/// Each running job's node point is computed once, however many racks it
 /// spans, and the idle point once for all racks. The sums are added in
 /// the same order as one `add_nodes` per (job, rack) pair, so the
-/// snapshot is the same bit for bit. The kernel's own model and every
-/// power lane accumulate through here.
-fn accumulate_allocation(model: &PowerModel, acc: &mut PowerAccumulator, state: &KernelState) {
+/// snapshot is the same bit for bit. The kernel's own model, every power
+/// lane and a load accumulate through here.
+fn accumulate_allocation(
+    model: &PowerModel,
+    acc: &mut PowerAccumulator,
+    running: &[RunningJob],
+    derived: &Derived,
+) {
     model.reset_accumulator(acc);
-    for rj in &state.running {
-        let point = model.node_point(rj.last_cpu, rj.last_gpu, rj.gpus_per_node);
+    let partitions = &model.config().partitions;
+    for rj in running {
+        let gpus = partitions[rj.job.partition].gpus_per_node;
+        let point = model.node_point(rj.last_cpu, rj.last_gpu, gpus);
         for &(rack, count) in &rj.rack_counts {
             acc.add(rack as usize, count as usize, &point);
         }
@@ -100,9 +107,9 @@ fn accumulate_allocation(model: &PowerModel, acc: &mut PowerAccumulator, state: 
     // Idle nodes: rack capacity minus allocated. The default GPU count
     // of the first partition is used for idle nodes, which is exact for
     // single-partition systems and a fine approximation otherwise.
-    let idle_point = model.node_point(0.0, 0.0, state.cfg.partitions[0].gpus_per_node);
+    let idle_point = model.node_point(0.0, 0.0, partitions[0].gpus_per_node);
     for (rack, (&capacity, &allocated)) in
-        state.rack_capacity.iter().zip(&state.rack_allocated).enumerate()
+        derived.rack_capacity.iter().zip(&derived.rack_allocated).enumerate()
     {
         let idle = capacity - allocated;
         if idle > 0 {
@@ -275,7 +282,6 @@ struct RunningJob {
     nodes: Vec<u32>,
     /// (rack index, node count) pairs.
     rack_counts: Vec<(u32, u32)>,
-    gpus_per_node: usize,
     /// CPU utilization sample the last power recompute used. Lets the
     /// event kernel prove a quantum recompute would reproduce the held
     /// snapshot bit-for-bit (recompute is a pure function of the samples)
@@ -290,8 +296,8 @@ struct RunningJob {
 /// drift apart: a field added here is forked and persisted with no
 /// other edit. It also changes the snapshot shape, so it needs a
 /// `SNAPSHOT_FORMAT_VERSION` bump and a regenerated fixture
-/// (`DESIGN.md` § 6). [`RapsSimulation`] keeps outside it only what is
-/// derived or is not state.
+/// (`DESIGN.md` § 6). What the kernel derives from it lives in
+/// [`Derived`], never saved, so a save cannot disagree with itself.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 struct KernelState {
     /// Machine topology and component parameters. Immutable during a run
@@ -301,14 +307,13 @@ struct KernelState {
     /// Power-delivery variant; with `cfg` it determines the power model.
     delivery: PowerDelivery,
     policy: Policy,
-    pool: NodePool,
-    /// Jobs not yet submitted, ascending submit time.
+    /// Jobs not yet submitted, ascending submit time. The front is the
+    /// next arrival: arrivals are read here, not scheduled as events.
     future: VecDeque<Job>,
     /// Submitted, waiting jobs in queue order.
     pending: Vec<Job>,
     running: Vec<RunningJob>,
     clock: SimClock,
-    snapshot: PowerSnapshot,
     power_dirty: bool,
     /// The last scheduling pass started jobs while others stayed queued.
     /// Starting a job reorders the pending queue (`swap_remove`), so the
@@ -322,64 +327,76 @@ struct KernelState {
     outputs: SimOutputs,
     record_every_s: u64,
     /// The discrete-event calendar `run_until` advances between: recurring
-    /// quantum/record entries plus one-shot arrivals, completions, and
-    /// wet-bulb breakpoints.
+    /// quantum/record entries plus one-shot completions and wet-bulb
+    /// breakpoints.
     events: EventQueue,
     completed: u64,
-    /// Total nodes currently allocated (cached sum of `rack_allocated`,
-    /// kept in lockstep so `utilization` is O(1) on the hot path).
+}
+
+/// What the kernel derives from its [`KernelState`] rather than saves:
+/// node occupancy and the held power snapshot. A fork clones it and a
+/// load rebuilds it ([`KernelState::derive`]).
+#[derive(Clone)]
+struct Derived {
+    pool: NodePool,
+    /// Nodes physically present per rack.
+    rack_capacity: Vec<u32>,
+    /// Nodes allocated per rack (for idle-node accounting).
+    rack_allocated: Vec<u32>,
+    /// Total nodes currently allocated (sum of `rack_allocated`, kept in
+    /// lockstep so `utilization` is O(1) on the hot path).
     active_nodes: u32,
+    total_nodes: usize,
     /// Running jobs whose utilization is a time-varying `Series` trace.
     /// Zero (the synthetic-workload common case) lets the event kernel
     /// prove a quantum recompute redundant in O(1).
     variable_running: usize,
-    /// Nodes allocated per rack (for idle-node accounting).
-    rack_allocated: Vec<u32>,
-    /// Nodes physically present per rack.
-    rack_capacity: Vec<u32>,
-    total_nodes: usize,
+    /// The snapshot the last recompute evaluated.
+    snapshot: PowerSnapshot,
 }
 
 impl KernelState {
-    /// The invariants the kernel assumes of a state it did not build
-    /// itself, checked once when a saved state is loaded rather than
-    /// asserted where they are used: a record cadence of at least 1 s; a
-    /// pool, rack capacities and snapshot shaped like the machine; jobs in
-    /// partitions that exist; node ids held by running jobs that, with the
-    /// pool's free intervals, cover each partition exactly once; and
-    /// running allocations whose rack counts are the ones their ids give
-    /// and agree with the per-rack and total node counts and with the
-    /// variable-trace count. A job is checked only for what the kernel
+    /// Check a state this program did not build, such as a loaded save,
+    /// once, and derive from it what the kernel keeps beside it: the power
+    /// model and [`Derived`]. Checked is what the kernel indexes or
+    /// relies on: a record cadence of at least 1 s; a machine the power
+    /// model can evaluate; jobs in partitions that exist; `future` in
+    /// submit order; held node ids inside their partition, each held
+    /// once, as many as the job's `nodes`, with the rack counts their
+    /// ids give; a completion one-shot at `start + max(wall, 1)` for
+    /// every running job; finite last samples unless a recompute is owed;
+    /// and, when `cooled` names a coupling's CDU count, no more CDUs than
+    /// the machine has and a breakpoint one-shot at every breakpoint of
+    /// the forcing after now. A job is checked only for what the kernel
     /// indexes by it, so every job that submission accepts (more nodes
     /// than its partition has, a utilization the kernel clamps) loads
-    /// again.
-    /// O(jobs + racks + held ids + k log k) for k free intervals and runs
-    /// of held ids: about the cost of decoding the ids.
-    fn validate(&self) -> Result<(), String> {
+    /// again. The pool is rebuilt from the held ids
+    /// ([`NodePool::from_held`]) and the snapshot re-evaluated from the
+    /// last samples, which is the held snapshot bit for bit when no
+    /// recompute is owed; when one is, the kernel recomputes before it
+    /// reads the snapshot. O(jobs + racks + held ids + k log k) for k
+    /// runs of held ids and one-shots: about the cost of decoding them.
+    fn derive(&self, cooled: Option<usize>) -> Result<(PowerModel, Derived), String> {
         if self.record_every_s == 0 {
             return Err("record_every_s must be at least 1".into());
         }
         let cfg = &*self.cfg;
-        if cfg.rack.nodes_per_rack == 0 || cfg.total_nodes() == 0 {
-            return Err("the machine needs at least one node and one node per rack".into());
+        let (rack, cooling) = (&cfg.rack, &cfg.cooling);
+        if rack.nodes_per_rack == 0
+            || !(1..=u32::MAX as usize).contains(&cfg.total_nodes())
+            || cooling.num_cdus == 0
+            || cooling.racks_per_cdu == 0
+            || cfg.conversion.rectifiers_per_rack == 0
+        {
+            return Err("the machine needs 1 to 2^32 - 1 nodes and at least one node per rack, \
+                        CDU, rack per CDU and rectifier per rack"
+                .into());
         }
-        if self.total_nodes != cfg.total_nodes() {
+        if let Some(cdus) = cooled.filter(|&cdus| cdus > cooling.num_cdus) {
             return Err(format!(
-                "total_nodes is {} but the machine has {}",
-                self.total_nodes,
-                cfg.total_nodes()
+                "the cooling coupling has {cdus} CDU inputs, the machine only {}",
+                cooling.num_cdus
             ));
-        }
-        let racks = cfg.total_racks();
-        if !self.rack_capacity.iter().copied().eq(rack_capacities(cfg)) {
-            return Err(format!("rack_capacity is not the machine's layout of {racks} racks"));
-        }
-        if self.rack_allocated.len() != racks {
-            return Err(format!("rack_allocated must have one entry per rack ({racks})"));
-        }
-        let cdus = cfg.cooling.num_cdus;
-        if self.snapshot.rack_ac_w.len() != racks || self.snapshot.cdu_heat_w.len() != cdus {
-            return Err(format!("the power snapshot must cover {racks} racks and {cdus} CDUs"));
         }
         let partitions = cfg.partitions.len();
         let running_jobs = self.running.iter().map(|rj| &rj.job);
@@ -389,9 +406,23 @@ impl KernelState {
                 return Err(format!("job {id}: partition {p} does not exist ({partitions} do)"));
             }
         }
-        self.pool.validate(cfg, self.running.iter().map(|rj| (rj.job.partition, &rj.nodes[..])))?;
-        let mut on_rack = vec![0u64; racks];
-        let mut variable = 0;
+        if !self.future.iter().is_sorted_by_key(|job| job.submit_time_s) {
+            return Err("future jobs are not in submit order".into());
+        }
+        let pool =
+            NodePool::from_held(cfg, self.running.iter().map(|rj| (rj.job.partition, &rj.nodes[..])))?;
+        let (mut completions, mut breakpoints) = (Vec::new(), Vec::new());
+        for event in self.events.one_shots() {
+            match event.kind {
+                EventKind::JobCompletion => completions.push(event.time_s),
+                EventKind::WetBulbBreakpoint => breakpoints.push(event.time_s),
+                _ => {}
+            }
+        }
+        completions.sort_unstable();
+        breakpoints.sort_unstable();
+        let mut rack_allocated = vec![0u32; cfg.total_racks()];
+        let mut variable_running = 0;
         for rj in &self.running {
             let job = &rj.job;
             let id = job.id.0;
@@ -399,42 +430,48 @@ impl KernelState {
                 let held = rj.nodes.len();
                 return Err(format!("running job {id} holds {held} of its {} nodes", job.nodes));
             }
-            if rj.gpus_per_node != cfg.partitions[job.partition].gpus_per_node {
-                return Err(format!("running job {id}: gpus_per_node is not its partition's"));
-            }
-            // The pool check put every id inside the machine, once, so
-            // these racks exist and no rack holds more than its capacity.
-            let derived = rack_counts_of(&rj.nodes, cfg.rack.nodes_per_rack);
+            // The pool put every id inside the machine, once, so these
+            // racks exist and no rack holds more than its capacity.
+            let derived = rack_counts_of(&rj.nodes, rack.nodes_per_rack);
             if !derived.eq(rj.rack_counts.iter().copied()) {
                 return Err(format!("running job {id}: rack_counts are not the racks of its nodes"));
             }
             for &(rack, count) in &rj.rack_counts {
-                on_rack[rack as usize] += u64::from(count);
+                rack_allocated[rack as usize] += count;
             }
-            variable += usize::from(has_variable_trace(job));
-        }
-        for (rack, (&held, &allocated)) in on_rack.iter().zip(&self.rack_allocated).enumerate() {
-            if held != u64::from(allocated) {
+            let due = job.start_time_s.and_then(|start| start.checked_add(job.wall_time_s.max(1)));
+            if due.is_none_or(|due| completions.binary_search(&due).is_err()) {
+                return Err(format!("running job {id} has no completion one-shot at its end"));
+            }
+            let finite = rj.last_cpu.is_finite() && rj.last_gpu.is_finite();
+            if !(finite || self.power_dirty) {
                 return Err(format!(
-                    "rack_allocated[{rack}] is {allocated}, but running jobs hold {held} of its \
-                     nodes"
+                    "running job {id} has a non-finite last sample and no recompute is owed"
                 ));
             }
+            variable_running += usize::from(has_variable_trace(job));
         }
-        let allocated: u64 = on_rack.iter().sum();
-        if u64::from(self.active_nodes) != allocated {
-            return Err(format!(
-                "active_nodes is {} but the racks hold {allocated} allocated nodes",
-                self.active_nodes
-            ));
+        if cooled.is_some() {
+            let now = self.clock.elapsed();
+            let mut after_now = series_breakpoints(&self.wet_bulb).into_iter().filter(|&t| t > now);
+            if let Some(t) = after_now.find(|t| breakpoints.binary_search(t).is_err()) {
+                return Err(format!("the forcing breakpoint at {t} s has no breakpoint one-shot"));
+            }
         }
-        if self.variable_running != variable {
-            return Err(format!(
-                "variable_running is {} but {variable} running jobs have a series trace",
-                self.variable_running
-            ));
-        }
-        Ok(())
+        let model = PowerModel::new(cfg.clone(), self.delivery);
+        let mut derived = Derived {
+            pool,
+            rack_capacity: rack_capacities(cfg).collect(),
+            active_nodes: rack_allocated.iter().sum(),
+            rack_allocated,
+            total_nodes: cfg.total_nodes(),
+            variable_running,
+            snapshot: PowerSnapshot::default(),
+        };
+        let mut acc = model.new_accumulator();
+        accumulate_allocation(&model, &mut acc, &self.running, &derived);
+        model.evaluate_into(&acc, &mut derived.snapshot);
+        Ok((model, derived))
     }
 }
 
@@ -496,6 +533,8 @@ impl std::error::Error for LaneError {}
 /// from it or are not state.
 pub struct RapsSimulation {
     state: KernelState,
+    /// Occupancy and the held power snapshot, derived from `state`.
+    derived: Derived,
     /// The power model — a pure function of `(cfg, delivery)`, rebuilt
     /// on restore and shared across forks by refcount.
     model: Arc<PowerModel>,
@@ -527,10 +566,6 @@ impl RapsSimulation {
         policy: Policy,
         record_every_s: u64,
     ) -> Self {
-        let model = Arc::new(PowerModel::new(cfg.clone(), delivery));
-        let racks = model.racks();
-        let total_nodes = cfg.total_nodes();
-        let rack_capacity = rack_capacities(&cfg).collect();
         let mut events = EventQueue::new();
         events.schedule_every(COOLING_PERIOD_S, EventKind::CoolingQuantum);
         // Record boundaries on the quantum grid are already covered by the
@@ -543,7 +578,6 @@ impl RapsSimulation {
             events.schedule_every(record_every_s, EventKind::RecordBoundary);
         }
         let state = KernelState {
-            pool: NodePool::new(&cfg),
             cfg: Arc::new(cfg),
             delivery,
             policy,
@@ -551,7 +585,6 @@ impl RapsSimulation {
             pending: Vec::new(),
             running: Vec::new(),
             clock: SimClock::midnight(),
-            snapshot: model.uniform_power(0.0, 0.0),
             power_dirty: true,
             sched_echo: false,
             // Default weather: constant 15 °C wet-bulb.
@@ -560,26 +593,23 @@ impl RapsSimulation {
             record_every_s,
             events,
             completed: 0,
-            active_nodes: 0,
-            variable_running: 0,
-            rack_allocated: vec![0; racks],
-            rack_capacity,
-            total_nodes,
         };
-        Self::assemble(state, model, None, KernelMetrics::new())
+        let (model, derived) = state.derive(None).expect("a new simulation's machine and record cadence are valid");
+        Self::assemble(state, derived, Arc::new(model), None, KernelMetrics::new())
     }
 
-    /// Wrap `state` with its power model, fresh scratch, cooling, and
-    /// counters: the one constructor `new`, `fork` and `from_state`
-    /// share.
+    /// Wrap `state` and what is derived from it with its power model,
+    /// fresh scratch, cooling, and counters: the one constructor `new`,
+    /// `fork` and `from_state` share.
     fn assemble(
         state: KernelState,
+        derived: Derived,
         model: Arc<PowerModel>,
         cooling: Option<CoolingCoupling>,
         metrics: KernelMetrics,
     ) -> Self {
         let (acc, event_buf, lanes) = (model.new_accumulator(), Vec::new(), Vec::new());
-        RapsSimulation { state, model, acc, event_buf, cooling, metrics, lanes }
+        RapsSimulation { state, derived, model, acc, event_buf, cooling, metrics, lanes }
     }
 
     /// Attach a cooling model (FMU import). Call before running; also
@@ -641,20 +671,14 @@ impl RapsSimulation {
         }
     }
 
-    /// Queue jobs for submission (any order; sorted internally).
+    /// Queue jobs for submission (any order; sorted internally). The
+    /// front of the submit-ordered queue is the next arrival, so no
+    /// event is scheduled for it.
     pub fn submit_jobs(&mut self, mut jobs: Vec<Job>) {
         if jobs.is_empty() {
             return;
         }
         jobs.sort_by_key(|j| j.submit_time_s);
-        // One arrival event per distinct submit second in the batch.
-        let mut last_submit = None;
-        for j in &jobs {
-            if last_submit != Some(j.submit_time_s) {
-                self.state.events.schedule_at(j.submit_time_s, EventKind::JobArrival);
-                last_submit = Some(j.submit_time_s);
-            }
-        }
         // Merge the sorted batch into the (sorted) future queue in one
         // pass; on equal submit times, previously queued jobs stay first
         // (the stable-sort order the per-second loop always produced).
@@ -680,7 +704,7 @@ impl RapsSimulation {
 
     /// The current power snapshot.
     pub fn snapshot(&self) -> &PowerSnapshot {
-        &self.state.snapshot
+        &self.derived.snapshot
     }
 
     /// Current simulated time, seconds.
@@ -700,7 +724,7 @@ impl RapsSimulation {
 
     /// Node-allocation utilization in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
-        self.state.active_nodes as f64 / self.state.total_nodes as f64
+        self.derived.active_nodes as f64 / self.derived.total_nodes as f64
     }
 
     /// Recorded outputs so far.
@@ -767,13 +791,13 @@ impl RapsSimulation {
                     let mut rj = self.state.running.swap_remove(i);
                     rj.job.state = JobState::Completed;
                     rj.job.end_time_s = Some(now);
-                    self.state.pool.release(rj.job.partition, &rj.nodes);
+                    self.derived.pool.release(rj.job.partition, &rj.nodes);
                     for &(rack, count) in &rj.rack_counts {
-                        self.state.rack_allocated[rack as usize] -= count;
+                        self.derived.rack_allocated[rack as usize] -= count;
                     }
-                    self.state.active_nodes -= rj.nodes.len() as u32;
+                    self.derived.active_nodes -= rj.nodes.len() as u32;
                     if has_variable_trace(&rj.job) {
-                        self.state.variable_running -= 1;
+                        self.derived.variable_running -= 1;
                     }
                     self.state.completed += 1;
                     self.state.power_dirty = true;
@@ -809,7 +833,7 @@ impl RapsSimulation {
             let decisions = schedule_jobs(
                 self.state.policy,
                 &self.state.pending,
-                &mut self.state.pool,
+                &mut self.derived.pool,
                 now,
                 &releases,
             );
@@ -835,18 +859,16 @@ impl RapsSimulation {
                     let rack_counts: Vec<_> =
                         rack_counts_of(&nodes, self.state.cfg.rack.nodes_per_rack).collect();
                     for &(rack, count) in &rack_counts {
-                        self.state.rack_allocated[rack as usize] += count;
+                        self.derived.rack_allocated[rack as usize] += count;
                     }
-                    let gpus = self.state.cfg.partitions[job.partition].gpus_per_node;
-                    self.state.active_nodes += nodes.len() as u32;
+                    self.derived.active_nodes += nodes.len() as u32;
                     if has_variable_trace(&job) {
-                        self.state.variable_running += 1;
+                        self.derived.variable_running += 1;
                     }
                     self.state.running.push(RunningJob {
                         job,
                         nodes,
                         rack_counts,
-                        gpus_per_node: gpus,
                         last_cpu: f64::NAN,
                         last_gpu: f64::NAN,
                     });
@@ -869,7 +891,7 @@ impl RapsSimulation {
         }
 
         // Energy integrates every second from the held snapshot.
-        self.state.outputs.energy_j += self.state.snapshot.system_w;
+        self.state.outputs.energy_j += self.derived.snapshot.system_w;
 
         // Cooling model every 15 s (the FMU call of Algorithm 1).
         if quantum_boundary {
@@ -889,14 +911,14 @@ impl RapsSimulation {
     fn record_second(&mut self, now: u64) {
         if now.is_multiple_of(self.state.record_every_s) {
             let util = self.utilization();
-            self.state.outputs.system_power_w.push(self.state.snapshot.system_w);
-            self.state.outputs.loss_w.push(self.state.snapshot.loss_w);
+            self.state.outputs.system_power_w.push(self.derived.snapshot.system_w);
+            self.state.outputs.loss_w.push(self.derived.snapshot.loss_w);
             self.state.outputs.utilization.push(util);
-            self.state.outputs.efficiency.push(self.state.snapshot.efficiency);
+            self.state.outputs.efficiency.push(self.derived.snapshot.efficiency);
         }
-        self.state.outputs.power_stats.push(self.state.snapshot.system_w);
-        self.state.outputs.loss_stats.push(self.state.snapshot.loss_w);
-        self.state.outputs.eff_stats.push(self.state.snapshot.efficiency);
+        self.state.outputs.power_stats.push(self.derived.snapshot.system_w);
+        self.state.outputs.loss_stats.push(self.derived.snapshot.loss_w);
+        self.state.outputs.eff_stats.push(self.derived.snapshot.efficiency);
         self.state.outputs.util_stats.push(self.utilization());
     }
 
@@ -927,6 +949,7 @@ impl RapsSimulation {
                 // genuinely change state.
                 None => {
                     let next = self.state.events.next_after(now).unwrap_or(u64::MAX);
+                    let next = next.min(self.next_arrival(now));
                     // A recompute owed (fresh simulation or external state
                     // change), or a scheduling pass that started jobs and
                     // must re-run: the per-second loop would fold either
@@ -966,6 +989,9 @@ impl RapsSimulation {
             }
             self.state.events.drain_due(next, &mut self.event_buf);
             let completion_due = self.event_buf.iter().any(|e| e.kind == EventKind::JobCompletion);
+            if self.state.future.front().is_some_and(|job| job.submit_time_s <= next) {
+                self.metrics.job_arrivals.inc();
+            }
             self.metrics.note_events(&self.event_buf);
             self.event_buf.clear();
             self.step_second(next, true, completion_due)?;
@@ -985,24 +1011,34 @@ impl RapsSimulation {
         Ok(())
     }
 
+    /// The second the front of `future` arrives when the clock stands at
+    /// `now`: its submit time, or `now + 1` when that has passed, as a
+    /// one-shot in the past fires on the next second. `u64::MAX` when no
+    /// job is queued.
+    fn next_arrival(&self, now: u64) -> u64 {
+        self.state.future.front().map_or(u64::MAX, |job| job.submit_time_s.max(now + 1))
+    }
+
     /// The event second `run_until` may jump straight to from `now`, or
     /// `None` for the eager path.
     ///
     /// With no recompute owed, no scheduling echo, and no time-varying
-    /// utilization trace, every second up to the next *one-shot* event
-    /// (arrival/completion) is provably silent — quantum and record
-    /// recurrences would only re-observe the held snapshot. Without
+    /// utilization trace, every second up to the next arrival or
+    /// *one-shot* event (completion, breakpoint) is provably silent —
+    /// quantum and record recurrences would only re-observe the held
+    /// snapshot. Without
     /// cooling that is the whole condition; with a cooling model
     /// attached the gap's quanta must also collapse into one
     /// `repeat_step` (`batch_cooled_gap`, which performs it).
     fn lazy_target(&mut self, now: u64, horizon_s: u64) -> Result<Option<u64>, FmiError> {
         let s = &self.state;
-        if s.power_dirty || s.sched_echo || s.variable_running != 0 {
+        if s.power_dirty || s.sched_echo || self.derived.variable_running != 0 {
             return Ok(None);
         }
         // A one-shot scheduled in the past still fires on the next
         // second, exactly as `next_after` would clamp it.
-        let target = s.events.next_one_shot().map_or(u64::MAX, |t| t.max(now + 1));
+        let one_shot = s.events.next_one_shot().map_or(u64::MAX, |t| t.max(now + 1));
+        let target = one_shot.min(self.next_arrival(now));
         let batched = self.cooling.is_none() || self.batch_cooled_gap(now, target, horizon_s)?;
         Ok(batched.then_some(target))
     }
@@ -1078,10 +1114,10 @@ impl RapsSimulation {
             return;
         }
         let util = self.utilization();
-        self.state.outputs.system_power_w.push_n(self.state.snapshot.system_w, k);
-        self.state.outputs.loss_w.push_n(self.state.snapshot.loss_w, k);
+        self.state.outputs.system_power_w.push_n(self.derived.snapshot.system_w, k);
+        self.state.outputs.loss_w.push_n(self.derived.snapshot.loss_w, k);
         self.state.outputs.utilization.push_n(util, k);
-        self.state.outputs.efficiency.push_n(self.state.snapshot.efficiency, k);
+        self.state.outputs.efficiency.push_n(self.derived.snapshot.efficiency, k);
         // 4 channels materialised k samples each without visiting a
         // boundary (the pue channel counts at its own push_n site).
         self.metrics.samples_backfilled.add(4 * k as u64);
@@ -1095,11 +1131,11 @@ impl RapsSimulation {
             return;
         }
         self.metrics.gaps_batched.inc();
-        self.state.outputs.energy_j += seconds as f64 * self.state.snapshot.system_w;
+        self.state.outputs.energy_j += seconds as f64 * self.derived.snapshot.system_w;
         let util = self.utilization();
-        self.state.outputs.power_stats.push_n(self.state.snapshot.system_w, seconds);
-        self.state.outputs.loss_stats.push_n(self.state.snapshot.loss_w, seconds);
-        self.state.outputs.eff_stats.push_n(self.state.snapshot.efficiency, seconds);
+        self.state.outputs.power_stats.push_n(self.derived.snapshot.system_w, seconds);
+        self.state.outputs.loss_stats.push_n(self.derived.snapshot.loss_w, seconds);
+        self.state.outputs.eff_stats.push_n(self.derived.snapshot.efficiency, seconds);
         self.state.outputs.util_stats.push_n(util, seconds);
         if !self.lanes.is_empty() {
             self.account_lanes_gap(seconds);
@@ -1112,7 +1148,7 @@ impl RapsSimulation {
     /// function of the samples and the unchanged allocation state) and
     /// can be skipped.
     fn util_samples_unchanged(&self, now: u64) -> bool {
-        if self.state.variable_running == 0 {
+        if self.derived.variable_running == 0 {
             // Constant traces sample to the same value at any elapsed
             // time; the last recompute (forced by the start that made the
             // job running) already holds exactly those samples.
@@ -1156,8 +1192,8 @@ impl RapsSimulation {
                 format!("cooling model '{}' does not support forking", c.model.instance_name())
             })?),
         };
-        let state = self.state.clone();
-        Ok(Self::assemble(state, Arc::clone(&self.model), cooling, self.metrics.clone()))
+        let (state, derived) = (self.state.clone(), self.derived.clone());
+        Ok(Self::assemble(state, derived, Arc::clone(&self.model), cooling, self.metrics.clone()))
     }
 
     /// Capture the complete simulation state as a serializable value —
@@ -1192,39 +1228,33 @@ impl RapsSimulation {
 
     /// Rebuild a simulation from a [`RapsSimulation::save_state`] value.
     ///
-    /// The power model and its accumulator are reconstructed from the
-    /// carried `(cfg, delivery)` (the accumulator is scratch reset at
-    /// every recompute, so a fresh one is bit-safe). The state is checked
-    /// once here (`KernelState::validate`), so a save whose counts
-    /// disagree is a typed error rather than a panic or a wrong answer
-    /// later. When the state carries cooling, `rebuild_cooling` maps the
-    /// model's opaque blob back to a live [`CoSimModel`] — the caller
-    /// knows which backend type to deserialize — and the coupling is
-    /// re-attached *without* re-running `setup`, so the restored model
-    /// continues from its captured internals rather than a fresh settle.
+    /// The state is checked once here, and what the kernel derives from
+    /// it (the power model, node occupancy and the held power snapshot)
+    /// is rebuilt in the same pass (`KernelState::derive`), so a save
+    /// that cannot be run is a typed error rather than a panic or a
+    /// wrong answer later. When the state carries cooling,
+    /// `rebuild_cooling` maps the model's opaque blob back to a live
+    /// [`CoSimModel`] — the caller knows which backend type to
+    /// deserialize — and the coupling is re-attached *without* re-running
+    /// `setup`, so the restored model continues from its captured
+    /// internals rather than a fresh settle.
     pub fn from_state(
         value: &serde::Value,
         rebuild_cooling: impl FnOnce(&serde::Value) -> Result<Box<dyn CoSimModel>, String>,
     ) -> Result<RapsSimulation, String> {
         let invalid = |e: serde::Error| format!("invalid simulation state: {e}");
         let state = <KernelState as serde::Deserialize>::from_value(value).map_err(invalid)?;
-        state.validate().map_err(|e| format!("invalid simulation state: {e}"))?;
         let cooling = value.get("cooling").unwrap_or(&serde::Value::Null);
-        let cooling = match <Option<CoolingState> as serde::Deserialize>::from_value(cooling)
-            .map_err(invalid)?
-        {
+        let cooling =
+            <Option<CoolingState> as serde::Deserialize>::from_value(cooling).map_err(invalid)?;
+        let (model, derived) = state
+            .derive(cooling.as_ref().map(|cs| cs.num_cdus))
+            .map_err(|e| format!("invalid simulation state: {e}"))?;
+        let cooling = match cooling {
             None => None,
-            Some(cs) if cs.num_cdus > state.cfg.cooling.num_cdus => {
-                return Err(format!(
-                    "invalid simulation state: the cooling coupling has {} CDU inputs, the \
-                     machine only {}",
-                    cs.num_cdus, state.cfg.cooling.num_cdus
-                ));
-            }
             Some(cs) => Some(CoolingCoupling::attach(rebuild_cooling(&cs.model)?, cs.num_cdus)?),
         };
-        let model = Arc::new(PowerModel::new((*state.cfg).clone(), state.delivery));
-        Ok(Self::assemble(state, model, cooling, KernelMetrics::new()))
+        Ok(Self::assemble(state, derived, Arc::new(model), cooling, KernelMetrics::new()))
     }
 
     /// Swap the power model mid-run — the "what if the power system were
@@ -1257,8 +1287,8 @@ impl RapsSimulation {
     /// counts, and partitions with their GPUs per node. Running
     /// allocations and the node pool carry over only onto such a machine.
     fn same_topology(&self, cfg: &SystemConfig) -> bool {
-        cfg.total_nodes() == self.state.total_nodes
-            && cfg.total_racks() == self.state.rack_capacity.len()
+        cfg.total_nodes() == self.derived.total_nodes
+            && cfg.total_racks() == self.derived.rack_capacity.len()
             && cfg.rack.nodes_per_rack == self.state.cfg.rack.nodes_per_rack
             && cfg.partitions.len() == self.state.cfg.partitions.len()
             && cfg
@@ -1326,7 +1356,7 @@ impl RapsSimulation {
 
     /// The node pool's free-list state (equivalence tests, diagnostics).
     pub fn pool(&self) -> &NodePool {
-        &self.state.pool
+        &self.derived.pool
     }
 
     /// Sample every running job's utilization at `now` and re-derive the
@@ -1337,8 +1367,8 @@ impl RapsSimulation {
             rj.last_cpu = rj.job.cpu_util.at(elapsed);
             rj.last_gpu = rj.job.gpu_util.at(elapsed);
         }
-        accumulate_allocation(&self.model, &mut self.acc, &self.state);
-        self.model.evaluate_into(&self.acc, &mut self.state.snapshot);
+        accumulate_allocation(&self.model, &mut self.acc, &self.state.running, &self.derived);
+        self.model.evaluate_into(&self.acc, &mut self.derived.snapshot);
         if !self.lanes.is_empty() {
             self.recompute_lanes();
         }
@@ -1349,7 +1379,7 @@ impl RapsSimulation {
     #[inline(never)]
     fn recompute_lanes(&mut self) {
         for lane in &mut self.lanes {
-            accumulate_allocation(&lane.model, &mut lane.acc, &self.state);
+            accumulate_allocation(&lane.model, &mut lane.acc, &self.state.running, &self.derived);
             lane.model.evaluate_into(&lane.acc, &mut lane.snapshot);
         }
     }
@@ -1389,7 +1419,7 @@ impl RapsSimulation {
     fn forward_cooling_inputs(&mut self, wb: f64) -> Result<(), FmiError> {
         let Some(cooling) = &mut self.cooling else { return Ok(()) };
         for (i, &vr) in cooling.cdu_inputs.iter().enumerate() {
-            let heat = self.state.snapshot.cdu_heat_w[i];
+            let heat = self.derived.snapshot.cdu_heat_w[i];
             if heat.to_bits() != cooling.last_cdu_heat_w[i].to_bits() {
                 cooling.model.set_real(vr, heat)?;
                 cooling.last_cdu_heat_w[i] = heat;
@@ -1400,7 +1430,7 @@ impl RapsSimulation {
             cooling.last_wet_bulb_c = wb;
         }
         if let Some(vr) = cooling.it_power_input {
-            let it_power = self.state.snapshot.system_w;
+            let it_power = self.derived.snapshot.system_w;
             if it_power.to_bits() != cooling.last_it_power_w.to_bits() {
                 cooling.model.set_real(vr, it_power)?;
                 cooling.last_it_power_w = it_power;
@@ -1628,8 +1658,9 @@ mod tests {
         assert_eq!(f.report().jobs_completed, 2);
     }
 
-    /// Each invariant `KernelState::validate` checks is refused when
-    /// broken, one field at a time, and the state a run builds passes.
+    /// Each check `KernelState::derive` makes is refused when broken, one
+    /// field at a time; the state a run builds passes and derives what
+    /// the live simulation holds.
     #[test]
     fn validate_refuses_each_broken_invariant() {
         let series = UtilTrace::Series { quantum_s: 15, values: vec![0.2, 0.8] };
@@ -1642,54 +1673,57 @@ mod tests {
         ]);
         s.run_until(600).unwrap();
         assert_eq!((s.running_count(), s.pending_count()), (2, 1));
-        assert_eq!(s.state.validate(), Ok(()));
-        // Nor can a power-model swap reach a state that fails the GPU
-        // check: it may not change a partition's GPUs per node.
+        let (_, derived) = s.state.derive(None).unwrap();
+        assert_eq!(derived.pool, s.derived.pool);
+        assert_eq!(derived.rack_allocated, s.derived.rack_allocated);
+        assert_eq!(derived.rack_capacity, s.derived.rack_capacity);
+        assert_eq!(
+            (derived.active_nodes, derived.total_nodes, derived.variable_running),
+            (s.derived.active_nodes, s.derived.total_nodes, s.derived.variable_running)
+        );
+        assert_eq!(derived.snapshot, s.derived.snapshot);
+        // A power-model swap may not change a partition's GPUs per node.
         let mut more_gpus = SystemConfig::frontier();
         more_gpus.partitions[0].gpus_per_node = 8;
         assert!(s.set_power_model(more_gpus, PowerDelivery::StandardAC).is_err());
+        // A recompute owed excuses a sample the kernel has yet to take.
+        let mut owed = s.state.clone();
+        (owed.running[0].last_cpu, owed.power_dirty) = (f64::NAN, true);
+        assert!(owed.derive(None).is_ok());
         // running[0] is the series job on ids 200–263; the wide job holds
         // 0–199.
         assert_eq!(s.state.running[0].nodes, (200..264).collect::<Vec<u32>>());
-        type Break = fn(&mut KernelState);
-        let broken: [(&str, Break); 18] = [
-            ("record_every_s", |k| k.record_every_s = 0),
-            ("pool", |k| k.pool = NodePool::new(&SystemConfig::marconi100_like())),
-            ("total_nodes", |k| k.total_nodes += 1),
-            ("rack_capacity", |k| k.rack_capacity[0] = 1),
-            ("rack_allocated must", |k| k.rack_allocated.push(0)),
-            ("snapshot", |k| {
-                k.snapshot.cdu_heat_w.pop();
+        let early = Job::new(5, "early", 64, 600, 0, 0.5, 0.5);
+        type Break = fn(&mut KernelState, &Job);
+        let broken: [(&str, Break); 13] = [
+            ("record_every_s", |k, _| k.record_every_s = 0),
+            ("the machine needs", |k, _| Arc::make_mut(&mut k.cfg).cooling.num_cdus = 0),
+            ("partition 9 does not exist", |k, _| k.future[0].partition = 9),
+            ("submit order", |k, early| k.future.push_back(early.clone())),
+            ("node 20000, outside it", |k, _| k.running[0].nodes[0] = 20_000),
+            ("node 0 is held twice", |k, _| k.running[0].nodes[0] = 0),
+            ("holds 63 of its 64", |k, _| {
+                k.running[0].nodes.pop();
             }),
-            ("partition 9 does not exist", |k| k.future[0].partition = 9),
-            ("node 20000, outside it", |k| k.running[0].nodes[0] = 20_000),
-            ("node 0 is held twice", |k| k.running[0].nodes[0] = 0),
-            ("node 200 is held twice, or held and free", |k| k.pool.release(0, &[200])),
-            ("nodes 200..264 are neither free nor held", |k| {
-                k.running[0].nodes = (9_000..9_064).collect();
-            }),
-            ("holds", |k| {
-                let node = k.running[0].nodes.pop().unwrap();
-                k.pool.release(0, &[node]);
-            }),
-            ("gpus_per_node", |k| k.running[0].gpus_per_node = 8),
-            ("rack_counts are not", |k| k.running[0].rack_counts[0].0 = 999),
-            ("rack_counts are not", |k| k.running[0].rack_counts[0].1 += 1),
-            ("rack_allocated[5] is 500", |k| k.rack_allocated[5] = 500),
-            ("active_nodes", |k| k.active_nodes = 0),
-            ("variable_running", |k| k.variable_running = 0),
+            ("rack_counts are not", |k, _| k.running[0].rack_counts[0].0 = 999),
+            ("rack_counts are not", |k, _| k.running[0].rack_counts[0].1 += 1),
+            ("no completion one-shot", |k, _| k.running[0].job.wall_time_s += 1),
+            ("no completion one-shot", |k, _| k.running[0].job.start_time_s = None),
+            ("non-finite last sample", |k, _| k.running[1].last_gpu = f64::INFINITY),
+            ("non-finite last sample", |k, _| k.running[0].last_cpu = f64::NAN),
         ];
         for (expect, breaks) in broken {
             let mut state = s.state.clone();
-            breaks(&mut state);
-            match state.validate() {
-                Ok(()) => panic!("a state with {expect} broken was accepted"),
+            breaks(&mut state, &early);
+            match state.derive(None) {
+                Ok(_) => panic!("a state with {expect} broken was accepted"),
                 Err(e) => assert!(e.contains(expect), "{expect}: {e}"),
             }
         }
-        // A multi-partition machine's state passes too: each partition's
-        // running ids cover what its free intervals leave, and each job's
-        // GPUs are its partition's.
+        let too_many_cdus = s.state.derive(Some(26)).map(|_| ()).unwrap_err();
+        assert!(too_many_cdus.contains("26 CDU inputs"), "{too_many_cdus}");
+        // A multi-partition machine's state passes too, and derives the
+        // pool its allocations left.
         let mut setonix = RapsSimulation::new(
             SystemConfig::setonix_like(),
             PowerDelivery::StandardAC,
@@ -1700,7 +1734,9 @@ mod tests {
         setonix.submit_jobs(vec![Job::new(5, "cpu", 1_000, 3_600, 0, 0.5, 0.0), gpu_job]);
         setonix.run_until(600).unwrap();
         assert_eq!(setonix.running_count(), 2);
-        assert_eq!(setonix.state.validate(), Ok(()));
+        let (_, derived) = setonix.state.derive(None).unwrap();
+        assert_eq!(derived.pool, setonix.derived.pool);
+        assert_eq!(derived.snapshot, setonix.derived.snapshot);
     }
 
     #[test]

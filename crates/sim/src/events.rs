@@ -15,8 +15,9 @@
 //! [`EventQueue`] holds two families of entries:
 //!
 //! * **one-shot** events scheduled at an absolute second
-//!   ([`EventQueue::schedule_at`]) — job arrivals, job completions,
-//!   wet-bulb forcing breakpoints;
+//!   ([`EventQueue::schedule_at`]) — job completions and wet-bulb forcing
+//!   breakpoints (a kernel reads job arrivals off its submit-ordered
+//!   queue instead);
 //! * **recurring** events firing at every positive multiple of a period
 //!   ([`EventQueue::schedule_every`]) — the 15 s cooling/trace quantum and
 //!   the output record boundary. Recurring entries are stored as a period,
@@ -42,8 +43,6 @@ use std::collections::BinaryHeap;
 /// The typed simulation events the RAPS kernel advances between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum EventKind {
-    /// A queued job reaches its submit time and joins the pending queue.
-    JobArrival,
     /// The earliest running job reaches `start + wall_time` and releases
     /// its nodes.
     JobCompletion,
@@ -60,16 +59,15 @@ pub enum EventKind {
 impl EventKind {
     /// Delivery priority for events due at the same second (lower first).
     ///
-    /// The order mirrors the per-second reference handler: arrivals join
-    /// the queue, completions release nodes, forcing refreshes, then the
-    /// quantum work (power recompute + cooling step), then recording.
+    /// The order mirrors the per-second reference handler: completions
+    /// release nodes, forcing refreshes, then the quantum work (power
+    /// recompute + cooling step), then recording.
     pub fn priority(self) -> u8 {
         match self {
-            EventKind::JobArrival => 0,
-            EventKind::JobCompletion => 1,
-            EventKind::WetBulbBreakpoint => 2,
-            EventKind::CoolingQuantum => 3,
-            EventKind::RecordBoundary => 4,
+            EventKind::JobCompletion => 0,
+            EventKind::WetBulbBreakpoint => 1,
+            EventKind::CoolingQuantum => 2,
+            EventKind::RecordBoundary => 3,
         }
     }
 }
@@ -234,6 +232,12 @@ impl EventQueue {
         self.heap.peek().map(|q| q.time_s)
     }
 
+    /// Every pending one-shot, in no particular order: what a loaded
+    /// calendar is checked against.
+    pub fn one_shots(&self) -> impl Iterator<Item = Event> + '_ {
+        self.heap.iter().map(|q| Event { time_s: q.time_s, kind: q.kind })
+    }
+
     /// Advance every recurring entry's delivery cursor through `time_s`
     /// without emitting events — for kernels that handled a recurring
     /// fire inline instead of draining it.
@@ -281,16 +285,16 @@ mod tests {
     fn one_shots_pop_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule_at(30, EventKind::JobCompletion);
-        q.schedule_at(10, EventKind::JobArrival);
-        q.schedule_at(20, EventKind::JobArrival);
+        q.schedule_at(10, EventKind::WetBulbBreakpoint);
+        q.schedule_at(20, EventKind::JobCompletion);
         assert_eq!(q.next_after(0), Some(10));
         let mut out = Vec::new();
         q.drain_due(25, &mut out);
         assert_eq!(
             out,
             vec![
-                Event { time_s: 10, kind: EventKind::JobArrival },
-                Event { time_s: 20, kind: EventKind::JobArrival },
+                Event { time_s: 10, kind: EventKind::WetBulbBreakpoint },
+                Event { time_s: 20, kind: EventKind::JobCompletion },
             ]
         );
         assert_eq!(q.next_after(25), Some(30));
@@ -300,18 +304,18 @@ mod tests {
     fn equal_time_ties_break_by_priority_then_schedule_order() {
         let mut q = EventQueue::new();
         q.schedule_at(15, EventKind::RecordBoundary);
-        q.schedule_at(15, EventKind::JobArrival);
+        q.schedule_at(15, EventKind::WetBulbBreakpoint);
         q.schedule_at(15, EventKind::JobCompletion);
-        q.schedule_at(15, EventKind::JobArrival);
+        q.schedule_at(15, EventKind::WetBulbBreakpoint);
         let mut out = Vec::new();
         q.drain_due(15, &mut out);
         let kinds: Vec<EventKind> = out.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
-                EventKind::JobArrival,
-                EventKind::JobArrival,
                 EventKind::JobCompletion,
+                EventKind::WetBulbBreakpoint,
+                EventKind::WetBulbBreakpoint,
                 EventKind::RecordBoundary,
             ]
         );
@@ -340,13 +344,13 @@ mod tests {
         q.schedule_every(15, EventKind::CoolingQuantum);
         q.schedule_every(30, EventKind::RecordBoundary);
         q.schedule_at(30, EventKind::JobCompletion);
-        q.schedule_at(7, EventKind::JobArrival);
+        q.schedule_at(7, EventKind::WetBulbBreakpoint);
         let mut out = Vec::new();
         q.drain_due(30, &mut out);
         assert_eq!(
             out,
             vec![
-                Event { time_s: 7, kind: EventKind::JobArrival },
+                Event { time_s: 7, kind: EventKind::WetBulbBreakpoint },
                 Event { time_s: 15, kind: EventKind::CoolingQuantum },
                 Event { time_s: 30, kind: EventKind::JobCompletion },
                 Event { time_s: 30, kind: EventKind::CoolingQuantum },
@@ -358,7 +362,7 @@ mod tests {
     #[test]
     fn stale_one_shot_clamps_to_next_second() {
         let mut q = EventQueue::new();
-        q.schedule_at(5, EventKind::JobArrival);
+        q.schedule_at(5, EventKind::JobCompletion);
         assert_eq!(q.next_after(100), Some(101));
         let mut out = Vec::new();
         q.drain_due(101, &mut out);
@@ -379,7 +383,7 @@ mod tests {
             let mut q = EventQueue::new();
             q.schedule_every(15, EventKind::CoolingQuantum);
             for t in [44, 12, 12, 90, 15] {
-                q.schedule_at(t, EventKind::JobArrival);
+                q.schedule_at(t, EventKind::JobCompletion);
             }
             let mut out = Vec::new();
             let mut now = 0;

@@ -182,18 +182,6 @@ impl Rng {
         self.lognormal(mu, sigma2.sqrt())
     }
 
-    /// Pick a reference uniformly from a non-empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.uniform_usize(items.len())]
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -287,16 +275,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 600.0, "counts={counts:?}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::new(23);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

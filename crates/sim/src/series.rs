@@ -226,21 +226,6 @@ impl TimeSeries {
         self.get(i) * (1.0 - frac) + self.get(i + 1) * frac
     }
 
-    /// Resample to a new period via linear interpolation, covering the same
-    /// time span. Used to align e.g. 60 s wet-bulb telemetry onto the 15 s
-    /// cooling-model grid.
-    pub fn resample(&self, new_dt: f64) -> TimeSeries {
-        assert!(new_dt > 0.0);
-        assert!(!self.is_empty());
-        let span = (self.len() - 1) as f64 * self.dt;
-        let n = (span / new_dt).floor() as usize + 1;
-        let mut out = TimeSeries::with_capacity(self.t0, new_dt, n);
-        for i in 0..n {
-            out.push(self.sample_at(self.t0 + i as f64 * new_dt));
-        }
-        out
-    }
-
     /// Mean of all samples (NaN when empty).
     pub fn mean(&self) -> f64 {
         if self.is_empty() {
@@ -257,21 +242,6 @@ impl TimeSeries {
     /// Maximum sample (NaN when empty).
     pub fn max(&self) -> f64 {
         self.samples().fold(f64::NAN, f64::max)
-    }
-
-    /// Integrate the series over its span using the trapezoidal rule.
-    /// With values in watts and dt in seconds, this yields joules.
-    pub fn integrate(&self) -> f64 {
-        if self.len() < 2 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        let mut prev = self.get(0);
-        for v in self.samples().skip(1) {
-            acc += 0.5 * (prev + v) * self.dt;
-            prev = v;
-        }
-        acc
     }
 
     /// Element-wise map into a new series.
@@ -406,33 +376,6 @@ mod tests {
         let s = ramp();
         assert_eq!(s.sample_at(-100.0), 0.0);
         assert_eq!(s.sample_at(1e9), 10.0);
-    }
-
-    #[test]
-    fn resample_preserves_span_and_values() {
-        let s = ramp(); // spans 150 s
-        let r = s.resample(5.0);
-        assert_eq!(r.len(), 31);
-        assert!((r.sample_at(75.0) - 5.0).abs() < 1e-12);
-        assert!((r[30] - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_downsamples() {
-        let s = ramp();
-        let r = s.resample(30.0);
-        assert_eq!(r.len(), 6);
-        assert_eq!(r[1], 2.0);
-    }
-
-    #[test]
-    fn integrate_trapezoid() {
-        // Constant 2.0 over 4 samples of dt=1 -> area 6.0.
-        let s = TimeSeries::from_values(0.0, 1.0, vec![2.0; 4]);
-        assert!((s.integrate() - 6.0).abs() < 1e-12);
-        // Ramp 0..3 over dt=1 -> area 4.5.
-        let s = TimeSeries::from_values(0.0, 1.0, vec![0.0, 1.0, 2.0, 3.0]);
-        assert!((s.integrate() - 4.5).abs() < 1e-12);
     }
 
     #[test]

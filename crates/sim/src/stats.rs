@@ -231,57 +231,6 @@ impl Summary {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Histogram with `nbins` equal-width bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0);
-        Histogram { lo, hi, bins: vec![0; nbins], underflow: 0, overflow: 0 }
-    }
-
-    /// Record an observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let nbins = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * nbins as f64) as usize;
-            self.bins[idx.min(nbins - 1)] += 1;
-        }
-    }
-
-    /// Bin counts (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count below range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count at-or-above range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,20 +336,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert!((s.mean - 2.5).abs() < 1e-12);
         assert_eq!(s.count, 4);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(42.0);
-        assert_eq!(h.bins(), &[1u64; 10]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fluid property correlations.
 //!
-//! The cooling model needs density, specific heat, viscosity and thermal
-//! conductivity of the coolant as functions of temperature. Frontier's
+//! The cooling model needs the density and specific heat of the coolant
+//! as functions of temperature. Frontier's
 //! facility loops run treated water; the blade-level loop runs a
 //! water/propylene-glycol mixture. The correlations below are polynomial
 //! fits to standard reference data (IAPWS-97 region for liquid water at
@@ -48,28 +48,6 @@ impl Fluid {
         }
     }
 
-    /// Dynamic viscosity in Pa·s at temperature `t` (°C).
-    pub fn viscosity(&self, t: f64) -> f64 {
-        match self {
-            Fluid::Water => {
-                // Vogel-type fit for liquid water.
-                2.414e-5 * 10f64.powf(247.8 / (t + 273.15 - 140.0))
-            }
-            Fluid::PropyleneGlycol25 => {
-                // Roughly 2.3x water at 20 °C with steeper T-dependence.
-                5.5e-5 * 10f64.powf(255.0 / (t + 273.15 - 140.0))
-            }
-        }
-    }
-
-    /// Thermal conductivity in W/(m·K) at temperature `t` (°C).
-    pub fn conductivity(&self, t: f64) -> f64 {
-        match self {
-            Fluid::Water => 0.5562 + 1.99e-3 * t - 8.67e-6 * t * t,
-            Fluid::PropyleneGlycol25 => 0.476 + 1.1e-3 * t,
-        }
-    }
-
     /// Volumetric heat capacity ρ·cp in J/(m³·K) — the factor in eq. (7) of
     /// the paper, `H = ρ · Q · ΔT · c`.
     pub fn volumetric_heat_capacity(&self, t: f64) -> f64 {
@@ -96,23 +74,9 @@ mod tests {
     }
 
     #[test]
-    fn water_viscosity_reference_points() {
-        // Reference: ~1.002e-3 Pa·s @ 20 °C, ~0.653e-3 @ 40 °C.
-        assert!((Fluid::Water.viscosity(20.0) - 1.002e-3).abs() < 3e-5);
-        assert!((Fluid::Water.viscosity(40.0) - 0.653e-3).abs() < 3e-5);
-    }
-
-    #[test]
-    fn water_conductivity_reference() {
-        // ~0.598 W/m-K @ 20 °C.
-        assert!((Fluid::Water.conductivity(20.0) - 0.598).abs() < 0.01);
-    }
-
-    #[test]
-    fn glycol_denser_and_more_viscous_than_water() {
+    fn glycol_denser_than_water_with_a_lower_cp() {
         let t = 30.0;
         assert!(Fluid::PropyleneGlycol25.density(t) > Fluid::Water.density(t));
-        assert!(Fluid::PropyleneGlycol25.viscosity(t) > Fluid::Water.viscosity(t));
         assert!(Fluid::PropyleneGlycol25.specific_heat(t) < Fluid::Water.specific_heat(t));
     }
 

@@ -78,12 +78,8 @@ impl Pump {
         self.fluid.density(t) * G
     }
 
-    /// Pressure rise (Pa) at flow `q` (m³/s), speed `s`, temperature `t` °C.
-    pub fn pressure_rise(&self, q: f64, s: f64, t: f64) -> f64 {
-        self.pressure_rise_at(self.rho_g(t), q, s)
-    }
-
-    /// [`Self::pressure_rise`] with the weight density `rho_g` given.
+    /// Pressure rise (Pa) at flow `q` (m³/s) and speed `s`, for the
+    /// weight density `rho_g` ([`Self::rho_g`]) of the pumped fluid.
     pub fn pressure_rise_at(&self, rho_g: f64, q: f64, s: f64) -> f64 {
         rho_g * self.head(q, s)
     }
@@ -113,15 +109,11 @@ impl Pump {
         (self.peak_efficiency * (2.0 * qn - qn * qn)).clamp(0.01, self.peak_efficiency)
     }
 
-    /// Electrical power drawn (W) at flow `q` (m³/s), speed `s`, temp `t` °C.
-    /// Includes a small standby term so an idling, spinning pump is not free.
-    pub fn electrical_power(&self, q: f64, s: f64, t: f64) -> f64 {
-        self.electrical_power_at(self.rated_power(), q, s, t)
-    }
-
-    /// [`Self::electrical_power`] with this pump's [`Self::rated_power`]
-    /// given. The rated power depends on the pump's constants only, so a
-    /// caller evaluating many pumps of one family computes it once.
+    /// Electrical power drawn (W) at flow `q` (m³/s), speed `s`, temp `t`
+    /// °C, for this pump's [`Self::rated_power`] `rated_w`. Includes a
+    /// small standby term so an idling, spinning pump is not free. The
+    /// rated power depends on the pump's constants only, so a caller
+    /// evaluating many pumps of one family computes it once.
     pub fn electrical_power_at(&self, rated_w: f64, q: f64, s: f64, t: f64) -> f64 {
         if s <= 0.0 {
             return 0.0;
@@ -203,7 +195,7 @@ mod tests {
     fn power_is_positive_and_plausible() {
         let p = htwp();
         let q = p.bep_flow_m3s;
-        let w = p.electrical_power(q, 1.0, 25.0);
+        let w = p.electrical_power_at(p.rated_power(), q, 1.0, 25.0);
         // ρgQH/η ≈ 1000*9.81*0.347*30/0.82/0.93 ≈ 134 kW
         assert!(w > 100_000.0 && w < 200_000.0, "w={w}");
     }
@@ -211,7 +203,7 @@ mod tests {
     #[test]
     fn zero_speed_draws_nothing() {
         let p = htwp();
-        assert_eq!(p.electrical_power(0.1, 0.0, 25.0), 0.0);
+        assert_eq!(p.electrical_power_at(p.rated_power(), 0.1, 0.0, 25.0), 0.0);
         assert_eq!(p.head(0.1, 0.0), 0.0);
     }
 
@@ -220,7 +212,7 @@ mod tests {
         let p = htwp();
         let k_sys = 1.0e6; // Pa/(m³/s)²
         let q = p.operating_flow(k_sys, 1.0, 25.0);
-        let dp_pump = p.pressure_rise(q, 1.0, 25.0);
+        let dp_pump = p.pressure_rise_at(p.rho_g(25.0), q, 1.0);
         let dp_sys = k_sys * q * q;
         assert!((dp_pump - dp_sys).abs() / dp_sys < 1e-9, "q={q}");
     }
@@ -238,7 +230,7 @@ mod tests {
     fn rated_power_close_to_bep_power() {
         let p = htwp();
         let rated = p.rated_power();
-        let actual = p.electrical_power(p.bep_flow_m3s, 1.0, 25.0);
+        let actual = p.electrical_power_at(rated, p.bep_flow_m3s, 1.0, 25.0);
         assert!((actual - rated).abs() / rated < 0.05);
     }
 }

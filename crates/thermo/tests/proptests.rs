@@ -78,7 +78,7 @@ proptest! {
         let p = Pump::from_design_point("p", q_design, head, 0.8);
         prop_assert!(p.head(q, s) >= 0.0);
         prop_assert!(p.head(q + dq, s) <= p.head(q, s) + 1e-12);
-        prop_assert!(p.electrical_power(q, s, 25.0) >= 0.0);
+        prop_assert!(p.electrical_power_at(p.rated_power(), q, s, 25.0) >= 0.0);
     }
 
     /// Pump operating point always balances the system curve.
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let p = Pump::from_design_point("p", q_design, head, 0.8);
         let q = p.operating_flow(k_sys, s, 25.0);
-        let rise = p.pressure_rise(q, s, 25.0);
+        let rise = p.pressure_rise_at(p.rho_g(25.0), q, s);
         let drop = k_sys * q * q;
         prop_assert!((rise - drop).abs() <= 1e-6 * (1.0 + drop), "rise {rise} drop {drop}");
     }
@@ -168,8 +168,6 @@ proptest! {
         for fluid in [Fluid::Water, Fluid::PropyleneGlycol25] {
             prop_assert!(fluid.density(t) > 900.0 && fluid.density(t) < 1_100.0);
             prop_assert!(fluid.specific_heat(t) > 3_000.0 && fluid.specific_heat(t) < 4_400.0);
-            prop_assert!(fluid.viscosity(t) > 1e-4 && fluid.viscosity(t) < 1e-2);
-            prop_assert!(fluid.conductivity(t) > 0.3 && fluid.conductivity(t) < 0.8);
         }
     }
 }

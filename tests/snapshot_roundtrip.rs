@@ -22,14 +22,15 @@ use exadigit_core::config::{CoolingBackend, TwinConfig};
 use exadigit_core::online::OnlineSurrogateConfig;
 use exadigit_core::twin::DigitalTwin;
 use exadigit_raps::config::{PartitionConfig, SystemConfig};
-use exadigit_raps::job::Job;
+use exadigit_raps::job::{Job, UtilTrace};
 use exadigit_raps::power::PowerDelivery;
 use exadigit_raps::scheduler::Policy;
-use exadigit_raps::simulation::RapsSimulation;
+use exadigit_raps::simulation::{CoolingCoupling, RapsSimulation};
 use exadigit_service::{run_whatif, SnapshotStore, WhatIfSpec};
 use exadigit_sim::ensemble::EnsembleRunner;
 use exadigit_sim::fmi::CoSimModel;
-use exadigit_sim::Rng;
+use exadigit_sim::{Rng, TimeSeries};
+use exadigit_telemetry::replay::CoolingTrace;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -311,31 +312,35 @@ fn at<'a>(value: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
     })
 }
 
-/// The kernel counts a save carries are untrusted too. Each of these
-/// tampered fresh saves of a twin running a 200-node job used to load:
-/// the first three then panicked in a debug build's run (u32
-/// subtraction, or a wrapped node count) and in a release build
-/// answered below Frontier's idle floor, the fourth indexed past the
-/// rack vectors in both builds, and the last (the job's ids moved onto
-/// free nodes, counts left consistent) panicked on a double release
-/// when the job completed. Each load must refuse with a typed error
-/// naming what disagrees, while the untampered save still loads.
+/// A save carries only state, and the load checks what the kernel
+/// indexes or relies on. Each of these tampered fresh saves of a twin
+/// running a 200-node job, with two jobs still to arrive, is refused with
+/// a typed error naming what is wrong, while the untampered save still
+/// loads. A tampered last sample is clamped like any utilization.
 #[test]
 fn a_save_whose_allocation_counts_disagree_is_refused_on_load() {
     let mut twin = DigitalTwin::new(TwinConfig::frontier_power_only()).unwrap();
-    twin.submit(vec![Job::new(1, "wide", 200, 3_600, 0, 0.5, 0.5)]);
+    twin.submit(vec![
+        Job::new(1, "wide", 200, 3_600, 0, 0.5, 0.5),
+        Job::new(2, "later", 64, 600, 7_200, 0.5, 0.5),
+        Job::new(3, "last", 64, 600, 9_000, 0.5, 0.5),
+    ]);
     twin.run(600).unwrap();
     assert_eq!(twin.queue_state().0, 1, "the job is running");
     let save = twin.save_state().unwrap();
     DigitalTwin::from_state(&save).expect("the untampered save loads");
     let number = |n| serde::Value::Number(serde::Number::U(n));
-    let free_ids = serde::Value::Array((9_000..9_200).map(number).collect());
-    let probes: [(&[&str], serde::Value, &str); 5] = [
-        (&["sim", "rack_allocated", "5"], number(500), "rack_allocated[5]"),
-        (&["sim", "rack_capacity", "0"], number(1), "rack_capacity"),
-        (&["sim", "active_nodes"], number(0), "active_nodes"),
+    let ids = |r: std::ops::Range<u64>| serde::Value::Array(r.map(number).collect());
+    let probes: [(&[&str], serde::Value, &str); 9] = [
+        (&["sim", "future", "0", "partition"], number(3), "partition 3 does not exist"),
+        (&["sim", "running", "0", "job", "partition"], number(1), "partition 1 does not exist"),
+        (&["sim", "future", "0", "submit_time_s"], number(9_500), "not in submit order"),
+        (&["sim", "running", "0", "nodes"], ids(9_400..9_600), "node 9472, outside it"),
+        (&["sim", "running", "0", "nodes", "1"], number(0), "node 0 is held twice"),
+        (&["sim", "running", "0", "nodes"], ids(0..199), "holds 199 of its 200 nodes"),
         (&["sim", "running", "0", "rack_counts", "0", "0"], number(999), "rack_counts are not"),
-        (&["sim", "running", "0", "nodes"], free_ids, "nodes 0..200 are neither free nor held"),
+        (&["sim", "running", "0", "job", "wall_time_s"], number(7_200), "no completion one-shot"),
+        (&["sim", "running", "0", "last_cpu"], serde::Value::Null, "non-finite last sample"),
     ];
     for (path, tampered, expect) in probes {
         let mut value = save.clone();
@@ -344,6 +349,161 @@ fn a_save_whose_allocation_counts_disagree_is_refused_on_load() {
             Ok(_) => panic!("{path:?} must be refused"),
             Err(e) => assert!(e.contains(expect), "{path:?}: {e}"),
         }
+    }
+    let with_last_cpu = |cpu: f64| {
+        let mut value = save.clone();
+        *at(&mut value, &["sim", "running", "0", "last_cpu"]) = serde::Value::Number(serde::Number::F(cpu));
+        DigitalTwin::from_state(&value).expect("a finite last sample loads").snapshot().system_w
+    };
+    assert_eq!(with_last_cpu(5.0).to_bits(), with_last_cpu(1.0).to_bits());
+}
+
+/// A fresh save holds no value the kernel derives: no node pool, rack
+/// tables, occupancy counts, power snapshot, per-job GPU count, and no
+/// arrival one-shot (a power-only twin's calendar holds one completion
+/// per running job). A stale copy of a derived key, such as a 1 TW power
+/// snapshot, is ignored: the twin loads and continues as the original.
+#[test]
+fn a_fresh_save_carries_no_derived_value() {
+    let mut save = frontier_day_twin().save_state().unwrap();
+    let sim = at(&mut save, &["sim"]);
+    let derived = [
+        "pool",
+        "snapshot",
+        "rack_allocated",
+        "rack_capacity",
+        "active_nodes",
+        "total_nodes",
+        "variable_running",
+    ];
+    let fields = sim.as_object().expect("sim is an object");
+    for key in derived {
+        assert!(fields.iter().all(|(k, _)| k != key), "a fresh save carries {key}");
+    }
+    let running = sim.get("running").and_then(serde::Value::as_array).expect("running jobs");
+    assert!(!running.is_empty());
+    for rj in running {
+        assert!(rj.get("gpus_per_node").is_none(), "a running job carries gpus_per_node");
+    }
+    let one_shots = at(sim, &["events", "one_shots"]).as_array().expect("one-shots").len();
+    let running = sim.get("running").and_then(serde::Value::as_array).unwrap().len();
+    assert_eq!(one_shots, running, "one completion one-shot per running job, nothing else");
+    let stale = r#"{"system_w": 1e12, "loss_w": 1e12}"#;
+    let serde::Value::Object(fields) = sim else { unreachable!() };
+    fields.push(("snapshot".into(), serde_json::from_str(stale).unwrap()));
+    let mut loaded = DigitalTwin::from_state(&save).expect("an unknown key is ignored");
+    let mut fresh = frontier_day_twin();
+    for twin in [&mut loaded, &mut fresh] {
+        twin.run(600).unwrap();
+    }
+    assert_eq!(loaded.report(), fresh.report());
+}
+
+/// A save taken while a recompute is owed holds last samples the kernel
+/// has not re-taken, so the snapshot a load derives from them is not the
+/// one the live twin holds; but the kernel recomputes before it reads the
+/// snapshot, so the loaded simulation continues bit for bit. Covered: a
+/// save at t = 0, one right after submitting jobs whose submit time has
+/// passed, and one after a power-model swap, with series-trace jobs
+/// running in the last two.
+#[test]
+fn saves_owing_a_recompute_load_and_continue_bit_for_bit() {
+    fn jobs(first_id: u64, submit: u64) -> Vec<Job> {
+        let trace = UtilTrace::Series { quantum_s: 15, values: vec![0.1, 0.9, 0.4, 0.7, 0.2] };
+        (0..4)
+            .map(|i| Job {
+                cpu_util: trace.clone(),
+                ..Job::new(first_id + i, "series", 40, 900 + 300 * i, submit + 7 * i, 0.5, 0.6)
+            })
+            .collect()
+    }
+    type Prepare = fn(&mut RapsSimulation);
+    let cases: [(&str, Prepare); 3] = [
+        ("t = 0", |_| {}),
+        ("past submits", |s| {
+            s.run_until(1_000).unwrap();
+            s.submit_jobs(jobs(10, 400));
+        }),
+        ("power-model swap", |s| {
+            s.run_until(1_000).unwrap();
+            s.set_power_model(small_config(256), PowerDelivery::SmartRectifiers).unwrap();
+        }),
+    ];
+    for (name, prepare) in cases {
+        let mut live =
+            RapsSimulation::new(small_config(256), PowerDelivery::StandardAC, Policy::FirstFit, 15);
+        live.submit_jobs(jobs(0, 0));
+        prepare(&mut live);
+        let json = serde_json::to_string(&live.save_state().unwrap()).unwrap();
+        let mut back = rehydrate(&json);
+        for sim in [&mut live, &mut back] {
+            sim.run_until(4_000).unwrap();
+        }
+        assert_eq!(state_digest(&live), state_digest(&back), "{name}");
+        let (ol, ob) = (live.outputs(), back.outputs());
+        for (a, b) in [(&ol.loss_w, &ob.loss_w), (&ol.efficiency, &ob.efficiency)] {
+            let bits = |s: &exadigit_sim::TimeSeries| s.samples().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{name}");
+        }
+        assert_eq!(live.report(), back.report(), "{name}");
+    }
+}
+
+/// With a cooling model attached, a breakpoint one-shot bounds every lazy
+/// jump at each breakpoint of the forcing, which is what makes batching
+/// a cooled gap sound; a cooled save must carry one for every breakpoint
+/// after now. Each way a forcing and a backend come together loads:
+/// forcing set before the attach, after it, a backend swap, and a
+/// wet-bulb offset. An online-backend save with its breakpoint one-shots
+/// dropped is refused; a power-only save holds none and loads.
+#[test]
+fn cooled_saves_carry_every_forcing_breakpoint() {
+    let ramp = || TimeSeries::from_values(0.0, 3_600.0, vec![12.0, 14.0, 14.0, 18.0, 12.0]);
+    let online = CoolingBackend::Online(OnlineSurrogateConfig::default());
+    let attach = |twin: &mut DigitalTwin, backend: &CoolingBackend| {
+        let num_cdus = twin.config.system.cooling.num_cdus;
+        let model = backend.build(&twin.config.plant, num_cdus).unwrap().unwrap();
+        twin.raps_mut().attach_cooling(CoolingCoupling::attach(model, num_cdus).unwrap());
+        twin.config.cooling = backend.clone();
+    };
+    let loads = |twin: &DigitalTwin, flow: &str| {
+        if let Err(e) = DigitalTwin::from_state(&twin.save_state().unwrap()) {
+            panic!("{flow}: {e}");
+        }
+    };
+    let mut before = DigitalTwin::new(TwinConfig::marconi100_like()).unwrap();
+    before.set_wet_bulb(ramp());
+    before.run(600).unwrap();
+    loads(&before, "power-only, no breakpoint one-shots");
+    attach(&mut before, &online);
+    before.run(600).unwrap();
+    loads(&before, "forcing set before the attach");
+
+    let mut after = DigitalTwin::new(TwinConfig::marconi100_like().with_backend(online)).unwrap();
+    after.run(600).unwrap();
+    after.set_wet_bulb(ramp());
+    after.run(600).unwrap();
+    loads(&after, "forcing set after the attach");
+
+    let mut swapped = after.fork().unwrap();
+    attach(&mut swapped, &CoolingBackend::Replay(CoolingTrace::constant(1.05, 4.0e5)));
+    loads(&swapped, "a backend swap");
+
+    let mut shifted = after.fork().unwrap();
+    let offset = shifted.raps().wet_bulb().map(|v| v + 2.5);
+    shifted.set_wet_bulb(offset);
+    loads(&shifted, "a wet-bulb offset");
+
+    let mut save = after.save_state().unwrap();
+    let serde::Value::Array(one_shots) = at(&mut save, &["sim", "events", "one_shots"]) else {
+        panic!("one-shots are an array")
+    };
+    let count = one_shots.len();
+    one_shots.retain(|q| !serde_json::to_string(q).unwrap().contains("WetBulbBreakpoint"));
+    assert!(one_shots.len() < count, "the save held breakpoint one-shots");
+    match DigitalTwin::from_state(&save) {
+        Ok(_) => panic!("a cooled save without its breakpoint one-shots must be refused"),
+        Err(e) => assert!(e.contains("has no breakpoint one-shot"), "{e}"),
     }
 }
 
