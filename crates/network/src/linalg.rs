@@ -131,7 +131,8 @@ mod tests {
     #[test]
     fn solve_identity() {
         let b = vec![1.0, 2.0, 3.0];
-        let x = from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).solve(&b).unwrap();
+        let identity = from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
+        let x = identity.solve(&b).unwrap();
         assert_eq!(x, b);
     }
 

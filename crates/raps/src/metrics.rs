@@ -27,8 +27,9 @@ use exadigit_sim::events::{Event, EventKind};
 #[derive(Clone, Debug, Default)]
 pub struct KernelMetrics {
     /// Stepped seconds at which at least one job arrived. Arrivals are
-    /// read off the submit-ordered queue, not drained as events, so jobs
-    /// arriving together, or late in one second, count once.
+    /// read off the submit-ordered queue, not drained as events, so all
+    /// the jobs one second admits count once, however many submit
+    /// seconds (or `submit_jobs` calls) they came from.
     pub job_arrivals: Counter,
     /// Job completions stepped as events.
     pub job_completions: Counter,

@@ -30,7 +30,7 @@ pub enum Policy {
 }
 
 /// Range of node ids belonging to one partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PartitionRange {
     start: u32,
     len: u32,
@@ -49,7 +49,7 @@ struct PartitionRange {
 /// Equality compares the full free-list state — what the event-kernel
 /// equivalence tests pin (the canonical form makes set equality and map
 /// equality coincide).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodePool {
     ranges: Vec<PartitionRange>,
     free: Vec<BTreeMap<u32, u32>>,
@@ -103,7 +103,8 @@ impl NodePool {
                 let consecutive = |w: &[u32]| w[1].checked_sub(w[0]) == Some(1);
                 let len = 1 + rest.windows(2).take_while(|w| consecutive(w)).count();
                 if first < range.start || u64::from(first) + len as u64 > end {
-                    let id = u64::from(first).max(if first < range.start { 0 } else { end });
+                    // The run's first id outside the partition.
+                    let id = if first < range.start { first.into() } else { end.max(first.into()) };
                     return Err(format!(
                         "pool partition {p}: a running job holds node {id}, outside it"
                     ));

@@ -382,8 +382,11 @@ impl KernelState {
         }
         let cfg = &*self.cfg;
         let (rack, cooling) = (&cfg.rack, &cfg.cooling);
+        // Summed so no partition table can overflow `total_nodes`.
+        let nodes =
+            cfg.partitions.iter().try_fold(0u32, |n, p| n.checked_add(p.nodes.try_into().ok()?));
         if rack.nodes_per_rack == 0
-            || !(1..=u32::MAX as usize).contains(&cfg.total_nodes())
+            || nodes.is_none_or(|n| n == 0)
             || cooling.num_cdus == 0
             || cooling.racks_per_cdu == 0
             || cfg.conversion.rectifiers_per_rack == 0
@@ -409,8 +412,8 @@ impl KernelState {
         if !self.future.iter().is_sorted_by_key(|job| job.submit_time_s) {
             return Err("future jobs are not in submit order".into());
         }
-        let pool =
-            NodePool::from_held(cfg, self.running.iter().map(|rj| (rj.job.partition, &rj.nodes[..])))?;
+        let held = self.running.iter().map(|rj| (rj.job.partition, &rj.nodes[..]));
+        let pool = NodePool::from_held(cfg, held)?;
         let (mut completions, mut breakpoints) = (Vec::new(), Vec::new());
         for event in self.events.one_shots() {
             match event.kind {
@@ -594,7 +597,8 @@ impl RapsSimulation {
             events,
             completed: 0,
         };
-        let (model, derived) = state.derive(None).expect("a new simulation's machine and record cadence are valid");
+        let (model, derived) =
+            state.derive(None).expect("a new simulation's machine and record cadence are valid");
         Self::assemble(state, derived, Arc::new(model), None, KernelMetrics::new())
     }
 
@@ -1695,9 +1699,17 @@ mod tests {
         assert_eq!(s.state.running[0].nodes, (200..264).collect::<Vec<u32>>());
         let early = Job::new(5, "early", 64, 600, 0, 0.5, 0.5);
         type Break = fn(&mut KernelState, &Job);
-        let broken: [(&str, Break); 13] = [
+        let broken: [(&str, Break); 14] = [
             ("record_every_s", |k, _| k.record_every_s = 0),
             ("the machine needs", |k, _| Arc::make_mut(&mut k.cfg).cooling.num_cdus = 0),
+            ("the machine needs", |k, _| {
+                let huge = crate::config::PartitionConfig {
+                    name: "huge".into(),
+                    nodes: usize::MAX,
+                    gpus_per_node: 0,
+                };
+                Arc::make_mut(&mut k.cfg).partitions.push(huge);
+            }),
             ("partition 9 does not exist", |k, _| k.future[0].partition = 9),
             ("submit order", |k, early| k.future.push_back(early.clone())),
             ("node 20000, outside it", |k, _| k.running[0].nodes[0] = 20_000),

@@ -1,14 +1,14 @@
 //! Fluid property correlations.
 //!
 //! The cooling model needs the density and specific heat of the coolant
-//! as functions of temperature. Frontier's
-//! facility loops run treated water; the blade-level loop runs a
-//! water/propylene-glycol mixture. The correlations below are polynomial
-//! fits to standard reference data (IAPWS-97 region for liquid water at
-//! atmospheric pressure, ASHRAE for the glycol mixture), accurate to well
-//! under 1 % over the 5–60 °C operating band of the plant — far below the
-//! model-form error of a system-level twin (Finding 6 of the paper argues
-//! against chasing fidelity beyond this).
+//! as functions of temperature. Frontier's facility loops run treated
+//! water; the blade-level loop runs a water/propylene-glycol mixture. The
+//! correlations below are polynomial fits to standard reference data
+//! (IAPWS-97 region for liquid water at atmospheric pressure, ASHRAE for
+//! the glycol mixture), accurate to well under 1 % over the 5–60 °C
+//! operating band of the plant — far below the model-form error of a
+//! system-level twin (Finding 6 of the paper argues against chasing
+//! fidelity beyond this).
 
 use serde::{Deserialize, Serialize};
 

@@ -352,7 +352,8 @@ fn a_save_whose_allocation_counts_disagree_is_refused_on_load() {
     }
     let with_last_cpu = |cpu: f64| {
         let mut value = save.clone();
-        *at(&mut value, &["sim", "running", "0", "last_cpu"]) = serde::Value::Number(serde::Number::F(cpu));
+        *at(&mut value, &["sim", "running", "0", "last_cpu"]) =
+            serde::Value::Number(serde::Number::F(cpu));
         DigitalTwin::from_state(&value).expect("a finite last sample loads").snapshot().system_w
     };
     assert_eq!(with_last_cpu(5.0).to_bits(), with_last_cpu(1.0).to_bits());
@@ -385,8 +386,8 @@ fn a_fresh_save_carries_no_derived_value() {
     for rj in running {
         assert!(rj.get("gpus_per_node").is_none(), "a running job carries gpus_per_node");
     }
+    let running = running.len();
     let one_shots = at(sim, &["events", "one_shots"]).as_array().expect("one-shots").len();
-    let running = sim.get("running").and_then(serde::Value::as_array).unwrap().len();
     assert_eq!(one_shots, running, "one completion one-shot per running job, nothing else");
     let stale = r#"{"system_w": 1e12, "loss_w": 1e12}"#;
     let serde::Value::Object(fields) = sim else { unreachable!() };
@@ -442,7 +443,7 @@ fn saves_owing_a_recompute_load_and_continue_bit_for_bit() {
         assert_eq!(state_digest(&live), state_digest(&back), "{name}");
         let (ol, ob) = (live.outputs(), back.outputs());
         for (a, b) in [(&ol.loss_w, &ob.loss_w), (&ol.efficiency, &ob.efficiency)] {
-            let bits = |s: &exadigit_sim::TimeSeries| s.samples().map(f64::to_bits).collect::<Vec<_>>();
+            let bits = |s: &TimeSeries| s.samples().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b), "{name}");
         }
         assert_eq!(live.report(), back.report(), "{name}");
